@@ -13,7 +13,7 @@ import numpy as np
 
 from hopflab import (PowerModulus, build_dini_cap, comparison_check,
                      compose_barrier, gradient_bounds, level_diagnostics,
-                     make_rings, power, solve_h_potential, solve_harmonic,
+                     make_cap_ring, power, solve_h_potential, solve_harmonic,
                      tune_m, verify_subsolution, zeta_from_field)
 
 
@@ -26,8 +26,7 @@ def main():
     args = ap.parse_args()
 
     cap = build_dini_cap(args.r_d, PowerModulus(args.modulus_a))
-    rings = make_rings(cap, args.r_d, resolution=args.resolution)
-    ring = rings.inner_ring
+    ring = make_cap_ring(cap, args.r_d, "inner", resolution=args.resolution)
     print(f"inner ring: gap {ring.gap:.4f}, spacing {ring.grid.h:.5f}, "
           f"{int(ring.interior().sum())} interior nodes")
 

@@ -7,13 +7,13 @@ from .barrier import (BarrierProfile, ZetaProfile, build_barrier,
                       zeta_from_field, zeta_from_modulus)
 from .geometry import (ConvexRing, DiniCap, Disk, Grid, LogPowerModulus,
                        Mask, Polygon, PowerModulus, Reflected, TableModulus,
-                       build_dini_cap, dini_report, make_annulus, make_ring,
-                       make_rings, rasterize)
+                       build_dini_cap, dini_report, make_annulus, make_cap_ring,
+                       make_ring, make_rings, rasterize)
 from .hopf import (comparison_check, discretization_benchmark, hopf_constant,
                    orlicz_holder_check, outer_lipschitz_check)
 from .orlicz import (ConditionReport, OrliczFunction, WeightSample,
                      check_condition_R, check_conditions, conjugate, custom,
-                     evaluate, make_orlicz, orlicz_norm, power, young_gap)
+                     evaluate, orlicz_norm, power, young_gap)
 from .solver import (ScalarField, SolveOptions, gradient_bounds,
                      level_diagnostics, operator_residual, solve_h_potential,
                      solve_harmonic, trace_flow_line)
@@ -23,12 +23,13 @@ __all__ = [
     "tune_m", "verify_subsolution", "zeta_from_field", "zeta_from_modulus",
     "ConvexRing", "DiniCap", "Disk", "Grid", "LogPowerModulus", "Mask",
     "Polygon", "PowerModulus", "Reflected", "TableModulus", "build_dini_cap",
-    "dini_report", "make_annulus", "make_ring", "make_rings", "rasterize",
+    "dini_report", "make_annulus", "make_cap_ring", "make_ring", "make_rings",
+    "rasterize",
     "comparison_check", "discretization_benchmark", "hopf_constant",
     "orlicz_holder_check", "outer_lipschitz_check",
     "ConditionReport", "OrliczFunction", "WeightSample", "check_condition_R",
-    "check_conditions", "conjugate", "custom", "evaluate", "make_orlicz",
-    "orlicz_norm", "power", "young_gap",
+    "check_conditions", "conjugate", "custom", "evaluate", "orlicz_norm",
+    "power", "young_gap",
     "ScalarField", "SolveOptions", "gradient_bounds", "level_diagnostics",
     "operator_residual", "solve_h_potential", "solve_harmonic",
     "trace_flow_line",

@@ -170,8 +170,8 @@ def _build_ring(cfg: RunConfig) -> geometry.ConvexRing:
                                      extent=cfg.extent)
     eps = _build_modulus(cfg)
     cap = geometry.build_dini_cap(cfg.r_d, eps)
-    rings = geometry.make_rings(cap, cfg.r_d, resolution=cfg.resolution)
-    return rings.inner_ring if cfg.ring_side == "inner" else rings.outer_ring
+    return geometry.make_cap_ring(cap, cfg.r_d, cfg.ring_side,
+                                  resolution=cfg.resolution)
 
 
 def _solve_options(cfg: RunConfig) -> solver.SolveOptions:
@@ -318,7 +318,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if outer_mode:
         cmp_rep = hopf.outer_lipschitz_check(u, ring, of, y=(0.0, 0.0),
-                                             r_ref=cfg.r_d, barrier_profile=prof)
+                                             r_ref=cfg.r_d, barrier_profile=prof,
+                                             harmonic=w)
         (out / "lipschitz.txt").write_text(cmp_rep.to_text())
     else:
         v = barrier_mod.compose_barrier(w, prof)

@@ -3,8 +3,10 @@
 Everything is two dimensional: points are (x, y) with y playing the role of
 the distinguished coordinate of the cap construction. Domains expose an
 analytic inside test plus an accurate signed distance through a sampled
-boundary polyline; rings carry node masks and the ghost-layer geometry the
-solver needs for curved Dirichlet boundaries.
+boundary polyline; the distance to a polyline is an exact nearest-segment
+query over a KD-tree of its vertices, certified per point and falling back
+to all segments where the certificate fails. Rings carry node masks and the
+ghost-layer geometry the solver needs for curved Dirichlet boundaries.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from enum import IntEnum
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (BadRadii, ContainmentViolated, GapTooSmall, GridTooSmall,
                      OutOfRange, TableTooCoarse)
@@ -258,23 +261,54 @@ class ConvexDomain:
         raise NotImplementedError
 
 
+# nearest polyline vertices whose adjacent segments are evaluated per point
+_K_NEAREST = 4
+
+
 def _distance_to_polyline(pts, poly):
-    """Min distance from points (..., 2) to the closed polyline poly (m, 2)."""
+    """Min distance from points (..., 2) to the closed polyline poly (m, 2).
+
+    Exact: a KD-tree on the vertices gives each point its k nearest
+    vertices, and only the 2k segments touching them are evaluated. Every
+    other segment has both ends at least r_k away, so it lies at least
+    sqrt(r_k^2 - (L_max/2)^2) away; a point whose best evaluated distance d
+    satisfies r_k^2 >= d^2 + (L_max/2)^2 (with a relative slack far above
+    rounding) is certified, and the rest fall back to all segments. Both
+    paths use the same per-segment arithmetic, so results are bit-equal to
+    the all-segments minimum.
+    """
     shape = pts.shape[:-1]
     p = pts.reshape(-1, 2)
+    m = len(poly)
     a = poly
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a
+    ab = np.roll(poly, -1, axis=0) - a
     ab2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
-    out = np.full(p.shape[0], np.inf)
+    if m <= _K_NEAREST:
+        return np.sqrt(_all_segments_d2(p, a, ab, ab2)).reshape(shape)
+
+    r, near = cKDTree(poly).query(p, k=_K_NEAREST)
+    seg = np.concatenate([near, (near - 1) % m], axis=1)
+    ap = p[:, None, :] - a[seg]
+    t = np.clip(np.einsum("kij,kij->ki", ap, ab[seg]) / ab2[seg], 0.0, 1.0)
+    d2 = np.sum((ap - t[..., None] * ab[seg]) ** 2, axis=-1).min(axis=1)
+
+    half_len2 = 0.25 * float(ab2.max())
+    unsure = r[:, -1] ** 2 < (d2 + half_len2) * (1.0 + 1e-9)
+    if unsure.any():
+        d2[unsure] = _all_segments_d2(p[unsure], a, ab, ab2)
+    return np.sqrt(d2).reshape(shape)
+
+
+def _all_segments_d2(p, a, ab, ab2):
+    """Squared distance from points (n, 2) to the nearest of all segments."""
+    out = np.empty(p.shape[0])
     chunk = max(1, int(4e6) // len(a))
     for s in range(0, p.shape[0], chunk):
-        q = p[s:s + chunk]
-        ap = q[:, None, :] - a[None, :, :]
+        ap = p[s:s + chunk, None, :] - a[None, :, :]
         t = np.clip(np.einsum("kij,ij->ki", ap, ab) / ab2, 0.0, 1.0)
         d2 = np.sum((ap - t[..., None] * ab[None, :, :]) ** 2, axis=-1)
-        out[s:s + chunk] = np.sqrt(d2.min(axis=1))
-    return out.reshape(shape)
+        out[s:s + chunk] = d2.min(axis=1)
+    return out
 
 
 class Disk(ConvexDomain):
@@ -661,30 +695,35 @@ class RingPair:
     outer_ring: ConvexRing
 
 
-def make_rings(cap: DiniCap, r_d: float, resolution: int = 257,
-               pad_cells: int = 6) -> RingPair:
-    """The two barrier rings carried by a cap domain K.
+def make_cap_ring(cap: DiniCap, r_d: float, side: str, resolution: int = 257,
+                  pad_cells: int = 6) -> ConvexRing:
+    """One of the two barrier rings carried by a cap domain K.
 
     inner: K minus the half-radius ball at (0, r_d);
     outer: the 3 r_d ball at (0, -r_d) minus the point reflection -K.
     """
     if abs(r_d - cap.r_d) > 1e-12 * max(1.0, r_d):
         raise OutOfRange("r_d must match the cap")
+    if side == "inner":
+        inner, outer = Disk((0.0, r_d), r_d / 2), cap
+    elif side == "outer":
+        inner, outer = Reflected(cap), Disk((0.0, -r_d), 3.0 * r_d)
+    else:
+        raise OutOfRange(f"ring side must be inner or outer, got {side!r}")
 
-    (x0, x1), (y0, y1) = cap.bbox()
-    span = max(x1 - x0, y1 - y0)
-    h_est = span / max(resolution - 2 * pad_cells - 1, 1)
+    # both outer domains have square bounding boxes, so the x span is the span
+    (x0, x1), (y0, y1) = outer.bbox()
+    h_est = (x1 - x0) / max(resolution - 2 * pad_cells - 1, 1)
     pad = pad_cells * h_est
-    grid_in = Grid.from_box(x0 - pad, x1 + pad, y0 - pad, y1 + pad, resolution)
-    inner_ring = make_ring(Disk((0.0, r_d), r_d / 2), cap, grid_in)
+    grid = Grid.from_box(x0 - pad, x1 + pad, y0 - pad, y1 + pad, resolution)
+    return make_ring(inner, outer, grid)
 
-    ball = Disk((0.0, -r_d), 3.0 * r_d)
-    (bx0, bx1), (by0, by1) = ball.bbox()
-    h_est = (bx1 - bx0) / max(resolution - 2 * pad_cells - 1, 1)
-    pad = pad_cells * h_est
-    grid_out = Grid.from_box(bx0 - pad, bx1 + pad, by0 - pad, by1 + pad, resolution)
-    outer_ring = make_ring(Reflected(cap), ball, grid_out)
-    return RingPair(inner_ring, outer_ring)
+
+def make_rings(cap: DiniCap, r_d: float, resolution: int = 257,
+               pad_cells: int = 6) -> RingPair:
+    """Both barrier rings carried by a cap domain K (see make_cap_ring)."""
+    return RingPair(make_cap_ring(cap, r_d, "inner", resolution, pad_cells),
+                    make_cap_ring(cap, r_d, "outer", resolution, pad_cells))
 
 
 def rasterize(dom: ConvexDomain, grid: Grid):

@@ -267,13 +267,15 @@ class LipschitzReport:
 
 def outer_lipschitz_check(u: ScalarField, ring: ConvexRing, of: OrliczFunction,
                           y=(0.0, 0.0), r_ref: float | None = None,
-                          barrier_profile=None) -> LipschitzReport:
+                          barrier_profile=None,
+                          harmonic: ScalarField | None = None) -> LipschitzReport:
     """Bound u <= C * M * dist(x, K1) near the boundary point y.
 
     u must vanish on the ring's inner boundary (the obstacle K1) near y. The
-    super-solution f(1) - f(w) built from the ring's harmonic potential is
-    compared against u, then the constant C is measured directly on cells in
-    the reference ball.
+    super-solution f(1) - f(w) built from the ring's harmonic potential w
+    (`harmonic`, 1 on the inner boundary and 0 on the outer; solved here
+    when not given) is compared against u, then the constant C is measured
+    directly on cells in the reference ball.
     """
     if abs(u.meta.get("inner_value", 0.0)) > 1e-12:
         raise PreconditionFail("u must vanish on the inner boundary")
@@ -295,7 +297,7 @@ def outer_lipschitz_check(u: ScalarField, ring: ConvexRing, of: OrliczFunction,
     comparison = None
     if barrier_profile is not None:
         from .barrier import compose_barrier
-        w = solve_harmonic(ring)
+        w = harmonic if harmonic is not None else solve_harmonic(ring)
         fw = compose_barrier(w, barrier_profile)
         vbar = fw.copy_with(barrier_profile.f1 - fw.values, meta={
             "inner_value": barrier_profile.f1 - fw.meta["inner_value"],

@@ -36,8 +36,8 @@ class EvalRecord:
 class OrliczFunction:
     """Validated structural function with vectorized companions.
 
-    Use :func:`power` or :func:`custom` (or :func:`make_orlicz`) to build one;
-    the constructor runs the origin and monotonicity checks.
+    Use :func:`power` or :func:`custom` to build one; the constructor runs
+    the origin and monotonicity checks.
     """
 
     def __init__(self, kind: str, h_fn, t_max: float, p: float | None = None,
@@ -220,16 +220,6 @@ def custom(h=None, table=None, t_max: float | None = None) -> OrliczFunction:
         return np.asarray(h(np.asarray(t, dtype=float)), dtype=float)
 
     return OrliczFunction("custom", h_vec, t_max)
-
-
-def make_orlicz(kind: str, **params) -> OrliczFunction:
-    """Factory used by the CLI: kind in {'power', 'custom'}."""
-    if kind == "power":
-        return power(params["p"], t_max=params.get("t_max", 1e6))
-    if kind == "custom":
-        return custom(h=params.get("h"), table=params.get("table"),
-                      t_max=params.get("t_max"))
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def conjugate(of: OrliczFunction) -> OrliczFunction:

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopflab.cli import main
+from hopflab import PowerModulus, build_dini_cap, geometry, make_rings
+from hopflab.cli import _build_ring, main, parse_config
 
 
 def write_config(path, text):
@@ -148,6 +149,27 @@ def test_outer_ring_pipeline(tmp_path):
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     assert main(["verify", "--config", cfg, "--out", out]) == 0
     assert (tmp_path / "out" / "lipschitz.txt").exists()
+
+
+@pytest.mark.parametrize("side", ["inner", "outer"])
+def test_cap_ring_built_once(tmp_path, monkeypatch, side):
+    cfg = parse_config(write_config(tmp_path / "run.ini",
+                                    CAP_97.replace("ring = inner", f"ring = {side}")))
+    built = []
+    make_ring = geometry.make_ring
+
+    def counting_make_ring(*args, **kwargs):
+        built.append(args)
+        return make_ring(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "make_ring", counting_make_ring)
+    ring = _build_ring(cfg)
+    assert len(built) == 1
+    monkeypatch.undo()
+    rings = make_rings(build_dini_cap(0.25, PowerModulus(0.5)), 0.25, resolution=97)
+    expected = rings.inner_ring if side == "inner" else rings.outer_ring
+    assert ring.descriptor() == expected.descriptor()
+    assert np.array_equal(ring.mask, expected.mask)
 
 
 def test_grid_override(tmp_path):

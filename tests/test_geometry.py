@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from hopflab import (Disk, Grid, LogPowerModulus, Mask, Polygon, PowerModulus,
-                     Reflected, TableModulus, build_dini_cap, dini_report,
-                     make_annulus, make_ring, make_rings, rasterize)
-from hopflab.geometry import convexity_midpoint_check
+from hopflab import (DiniCap, Disk, Grid, LogPowerModulus, Mask, Polygon,
+                     PowerModulus, Reflected, TableModulus, build_dini_cap,
+                     dini_report, make_annulus, make_ring, make_rings, rasterize)
+from hopflab.geometry import _distance_to_polyline, convexity_midpoint_check
 from hopflab.gridio import read_grid_file, write_grid_file
 from hopflab.errors import (BadRadii, ContainmentViolated, GapTooSmall,
                             TableTooCoarse)
@@ -91,6 +94,72 @@ def test_cap_convexity_midpoints():
     grid = Grid.square(0.3, 257, center=(0.0, 0.25))
     mask, _ = rasterize(cap, grid)
     assert convexity_midpoint_check(mask, grid, rng=np.random.default_rng(7))
+
+
+# --- distance to a polyline ---------------------------------------------------
+
+def brute_distance_to_polyline(pts, poly):
+    """Reference: the minimum over every segment of the closed polyline."""
+    p = pts.reshape(-1, 2)
+    a = poly
+    ab = np.roll(poly, -1, axis=0) - a
+    ab2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
+    ap = p[:, None, :] - a[None, :, :]
+    t = np.clip(np.einsum("kij,ij->ki", ap, ab) / ab2, 0.0, 1.0)
+    d2 = np.sum((ap - t[..., None] * ab[None, :, :]) ** 2, axis=-1)
+    return np.sqrt(d2.min(axis=1)).reshape(pts.shape[:-1])
+
+
+def _boundary_polyline(kind, size, n, rng):
+    if kind == "disk":
+        return Disk(rng.uniform(-1.0, 1.0, 2), size).boundary(n)
+    if kind == "polygon":
+        # points of an ellipse at sorted angles form a convex ccw polygon
+        ang = np.sort(rng.permutation(np.linspace(0.0, 2 * np.pi, 24, endpoint=False))
+                      [:rng.integers(3, 12)])
+        verts = np.stack([size * np.cos(ang), 0.5 * size * np.sin(ang)], axis=-1)
+        return Polygon(verts).boundary(n)
+    r_d = 0.5 * size    # within the modulus validity range (0, 1]
+    cap = DiniCap(r_d, PowerModulus(rng.uniform(0.3, 1.0)), smoothing=r_d / 256)
+    return cap.boundary(n, smoothing=r_d / 256)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["disk", "polygon", "cap"]),
+       size=st.floats(0.05, 2.0), n=st.integers(3, 600),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_polyline_distance_matches_brute_force(kind, size, n, seed):
+    rng = np.random.default_rng(seed)
+    poly = _boundary_polyline(kind, size, n, rng)
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    span = float(np.max(hi - lo))
+    pick = rng.integers(0, len(poly), 40)
+    # convex combinations of three vertices lie inside the convex boundary
+    inside = np.einsum("kj,kji->ki", rng.dirichlet(np.ones(3), 40),
+                       poly[rng.integers(0, len(poly), (40, 3))])
+    pts = np.concatenate([
+        poly[pick] + rng.normal(scale=1e-3 * span, size=(40, 2)),   # near
+        rng.uniform(lo - 3 * span, hi + 3 * span, size=(40, 2)),     # far
+        inside,
+        poly[pick],                                                  # on vertices
+    ])
+    got = _distance_to_polyline(pts, poly)
+    assert np.array_equal(got, brute_distance_to_polyline(pts, poly))
+    assert np.all(got[-40:] == 0.0)
+
+
+def test_polyline_distance_falls_back_past_a_long_edge():
+    # a long bottom edge under a dense elliptic top: the four vertices nearest
+    # the query all sit on the top, so the bottom edge is never a candidate
+    t = np.linspace(0.0, np.pi, 2001)[1:-1]
+    top = np.stack([10.0 * np.cos(t), np.sin(t)], axis=-1)
+    poly = np.concatenate([[(10.0, 0.0)], top, [(-10.0, 0.0)]])
+    q = np.array([[0.0, -0.5]])
+    _, near = cKDTree(poly).query(q, k=4)
+    assert np.all(poly[near[0], 1] > 0.5)
+    got = _distance_to_polyline(q, poly)
+    assert got[0] == 0.5
+    assert np.array_equal(got, brute_distance_to_polyline(q, poly))
 
 
 # --- rings ------------------------------------------------------------------

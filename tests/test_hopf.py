@@ -168,6 +168,9 @@ def test_lipschitz_cap_outer_ring(cap_rings257):
     rep = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier_profile=prof)
     assert rep.passed
     assert np.isfinite(rep.C) and rep.C > 0
+    given = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier_profile=prof,
+                                  harmonic=w)
+    assert given.to_text() == rep.to_text()
 
 
 # --- Hoelder ------------------------------------------------------------------
