@@ -34,8 +34,7 @@ def main():
     gb = gradient_bounds(w, ring)
     diag = level_diagnostics(w)
     zeta = zeta_from_field(w, diag=diag)
-    depth = ring.interior_depth()
-    C = float(np.max(diag.grad_norm[diag.cells & (depth >= 2)]))
+    C = float(np.max(diag.grad_norm[diag.trusted]))
     print(f"harmonic potential: residual {w.meta['residual']:.2e}, "
           f"gradient bounds [{gb.c:.3f}, {gb.C:.3f}], zeta mass {zeta.l1_mass:.4f}")
 

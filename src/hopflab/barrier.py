@@ -24,7 +24,8 @@ from .errors import (InversionOverflow, NotIntegrable, OutOfRange,
 from .geometry import DiniModulus, dini_report
 from .orlicz import OrliczFunction
 from .quadrature import gauss_segment, integral_to_zero
-from .solver import ScalarField, LevelDiagnostics, level_diagnostics, operator_residual
+from .solver import (ScalarField, LevelDiagnostics, flux_scale, level_diagnostics,
+                     operator_residual)
 
 
 @dataclass
@@ -140,8 +141,7 @@ def zeta_from_field(w: ScalarField, n_bins: int = 64,
     if w.ring is None:
         raise OutOfRange("field carries no ring")
     diag = diag or level_diagnostics(w)
-    depth = w.ring.interior_depth()
-    cells = diag.cells & (depth >= 2)
+    cells = diag.trusted
     if not cells.any():
         raise VanishingGradient("no usable cells for the envelope")
     wv = np.clip(w.values[cells], 0.0, 1.0)
@@ -375,11 +375,9 @@ def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,
     Tolerances scale with the median flux over the ring divided by the ring
     gap (the natural magnitude of the discrete operator there).
     """
-    ring = w.ring
     diag = diag or level_diagnostics(w)
-    depth = ring.interior_depth()
-    eligible = diag.cells & (depth >= 2)
-    n_excluded = int((w.mask == 1).sum() - eligible.sum())
+    eligible = diag.trusted
+    n_excluded = int(w.interior_mask().sum() - eligible.sum())
     if not eligible.any():
         raise VanishingGradient("no eligible cells")
 
@@ -388,9 +386,8 @@ def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,
     fp = prof.eval_fp(wv)
     fpp = prof.eval_fpp(wv)
     q = fp * gn
-    flux = np.asarray(of.h(np.minimum(q, of.t_max)), dtype=float)
-    flux_scale = float(np.median(flux)) / max(ring.gap, 1e-12)
-    tol_res = margin_factor * flux_scale
+    scale = flux_scale(q, of, w.ring.gap)
+    tol_res = margin_factor * scale
 
     v = compose_barrier(w, prof)
     res = operator_residual(v, of).values[eligible]
@@ -423,7 +420,7 @@ def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,
         worst_zeta=worst_zeta,
         tol_residual=tol_res,
         tol_reduced=tol_red,
-        flux_scale=flux_scale,
+        flux_scale=scale,
         n_cells=int(eligible.sum()),
         n_excluded=n_excluded,
         worst_cells={"residual": _loc(res), "pointwise": _loc(margin_point),

@@ -41,7 +41,6 @@ class RunConfig:
     delta_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     tol: float = 1e-8
     max_iter: int = 60
-    linear_solver: str = "direct"
     zeta_source: str = "field"
     c_d: float = 1.0
     target: str = "min_inner_u"
@@ -85,7 +84,6 @@ def parse_config(path, grid_override=None, p_override=None) -> RunConfig:
             cfg.delta_schedule = tuple(float(x) for x in sched.split())
         cfg.tol = g.flt("solver", "tol", cfg.tol)
         cfg.max_iter = int(g.flt("solver", "max_iter", cfg.max_iter))
-        cfg.linear_solver = g.str("solver", "linear_solver", cfg.linear_solver)
         cfg.zeta_source = g.str("barrier", "zeta", cfg.zeta_source)
         cfg.c_d = g.flt("barrier", "c_d", cfg.c_d)
         cfg.target = g.str("barrier", "target", cfg.target)
@@ -176,7 +174,7 @@ def _build_ring(cfg: RunConfig) -> geometry.ConvexRing:
 
 def _solve_options(cfg: RunConfig) -> solver.SolveOptions:
     return solver.SolveOptions(delta_schedule=cfg.delta_schedule, tol=cfg.tol,
-                               max_iter=cfg.max_iter, linear_solver=cfg.linear_solver)
+                               max_iter=cfg.max_iter)
 
 
 def _hopf_defaults(cfg: RunConfig):
@@ -289,9 +287,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     w.meta["delta_final"] = 0.0
 
     diag = solver.level_diagnostics(w)
-    depth = ring.interior_depth()
-    eligible = diag.cells & (depth >= 2)
-    C_meas = float(np.max(diag.grad_norm[eligible]))
+    C_meas = float(np.max(diag.grad_norm[diag.trusted]))
 
     if cfg.zeta_source == "modulus":
         gb = solver.gradient_bounds(w, ring)

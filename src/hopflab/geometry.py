@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -65,17 +65,16 @@ class Grid:
 
     def points(self):
         """All node coordinates, shape (ny, nx, 2)."""
-        return _grid_points(self)
+        return self._points
+
+    @cached_property
+    def _points(self):
+        X, Y = np.meshgrid(self.xs(), self.ys(), indexing="xy")
+        return np.stack([X, Y], axis=-1)
 
     def descriptor(self) -> str:
         return (f"grid nx {self.nx} ny {self.ny} origin {self.x0!r} {self.y0!r} "
                 f"spacing {self.h!r}")
-
-
-@lru_cache(maxsize=32)
-def _grid_points(grid: Grid):
-    X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="xy")
-    return np.stack([X, Y], axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -510,34 +509,32 @@ class ConvexRing:
     ghosts: GhostLayer
     gap: float
     meta: dict = field(default_factory=dict)
-    _sdf_cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    def cached(self, key: str, build):
+        """The value stored under key, computed as build(self) on first use;
+        per-ring derived data (distances, depth, solver assembly) lives here."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
 
     def interior(self):
         return self.mask == Mask.INTERIOR
 
     def sdf(self, which: str):
         """Signed distance field to the inner or outer domain boundary."""
-        if which not in self._sdf_cache:
-            dom = self.inner if which == "inner" else self.outer
-            pts = self.grid.points()
-            self._sdf_cache[which] = dom.signed_distance(pts, smoothing=self.grid.h)
-        return self._sdf_cache[which]
+        dom = self.inner if which == "inner" else self.outer
+        return self.cached(which, lambda r: dom.signed_distance(r.grid.points(),
+                                                                smoothing=r.grid.h))
 
     def interior_depth(self):
         """Chebyshev distance (in cells) from each interior node to the ghost layer."""
-        if "depth" not in self._sdf_cache:
-            interior = self.interior()
-            near = ~interior
-            depth = np.zeros(self.mask.shape, dtype=int)
-            cur = near
-            for d in range(1, 6):
-                cur = _dilate8(cur)
-                ring = cur & interior & (depth == 0)
-                depth[ring] = d
-            depth[interior & (depth == 0)] = 6
-            depth[~interior] = 0
-            self._sdf_cache["depth"] = depth
-        return self._sdf_cache["depth"]
+        return self.cached("depth", _interior_depth)
+
+    def trusted(self):
+        """Nodes at least two cells inside the ring: every stencil the
+        certificates use there sees interior nodes only."""
+        return self.cached("trusted", lambda r: r.interior_depth() >= 2)
 
     def descriptor(self) -> str:
         out = io.StringIO()
@@ -547,6 +544,18 @@ class ConvexRing:
         out.write(self.grid.descriptor() + "\n")
         out.write(f"gap {self.gap!r}\n")
         return out.getvalue()
+
+
+def _interior_depth(ring: ConvexRing):
+    interior = ring.interior()
+    depth = np.zeros(ring.mask.shape, dtype=int)
+    cur = ~interior
+    for d in range(1, 6):
+        cur = _dilate8(cur)
+        depth[cur & interior & (depth == 0)] = d
+    depth[interior & (depth == 0)] = 6
+    depth[~interior] = 0
+    return depth
 
 
 def _dilate8(m):

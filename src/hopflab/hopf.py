@@ -10,9 +10,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotNormalized, OutOfRange, PreconditionFail
-from .geometry import ConvexRing, Mask, make_annulus
+from .geometry import ConvexRing, make_annulus
 from .orlicz import OrliczFunction, conjugate, orlicz_norm
-from .solver import ScalarField, operator_residual, solve_harmonic
+from .solver import (ScalarField, central_gradient, flux_scale, operator_residual,
+                     solve_harmonic)
 
 
 @dataclass
@@ -157,34 +158,40 @@ class ComparisonReport:
 
 def comparison_check(u: ScalarField, v: ScalarField, of: OrliczFunction,
                      tol_cmp: float | None = None,
-                     tol_res: float | None = None) -> ComparisonReport:
-    """v <= u inside, given v <= u on the boundary, v a discrete sub-solution
-    and u a discrete solution.
+                     tol_res: float | None = None,
+                     direction: str = "sub") -> ComparisonReport:
+    """The comparison principle between a discrete solution u and a barrier v.
+
+    direction "sub": v <= u inside, given v <= u on the boundary and v a
+    discrete sub-solution; "super": u <= v inside, given u <= v on the
+    boundary and v a discrete super-solution. The report's sub_residual
+    fields then describe the barrier v.
 
     Boundary ordering violations raise PreconditionFail (an input error);
     residual shortfalls are recorded on the report.
     """
+    if direction not in ("sub", "super"):
+        raise ValueError(f"direction must be 'sub' or 'super', got {direction!r}")
     if u.grid is not v.grid and (u.grid != v.grid):
         raise PreconditionFail("fields live on different grids")
-    vi = v.meta.get("inner_value", None)
-    ui = u.meta.get("inner_value", None)
-    vo = v.meta.get("outer_value", None)
-    uo = u.meta.get("outer_value", None)
-    if vi is None or ui is None or vo is None or uo is None:
+    keys = ("inner_value", "outer_value")
+    if any(fld.meta.get(k) is None for fld in (u, v) for k in keys):
         raise PreconditionFail("fields carry no boundary data")
-    if vi > ui + 1e-12 or vo > uo + 1e-12:
+    lo, hi = (v, u) if direction == "sub" else (u, v)
+    if any(lo.meta[k] > hi.meta[k] + 1e-12 for k in keys):
         raise PreconditionFail(
-            f"boundary ordering violated: inner {vi!r} vs {ui!r}, "
-            f"outer {vo!r} vs {uo!r}")
+            f"boundary ordering violated for a {direction}-solution barrier: inner "
+            f"{lo.meta['inner_value']!r} vs {hi.meta['inner_value']!r}, "
+            f"outer {lo.meta['outer_value']!r} vs {hi.meta['outer_value']!r}")
 
     ring = u.ring or v.ring
-    depth = ring.interior_depth()
-    trusted = (u.mask == Mask.INTERIOR) & (depth >= 2)
-
+    trusted = ring.trusted()
     if tol_res is None:
-        scale = _flux_scale(u, of, trusted)
-        tol_res = 1e-3 * scale
-    res_v = operator_residual(v, of).values[trusted]
+        gn = np.hypot(*central_gradient(u.values, u.grid.h))[trusted]
+        tol_res = 1e-3 * flux_scale(gn, of, ring.gap)
+    # a super-solution is a sub-solution with the sign of the operator flipped
+    sign = 1.0 if direction == "sub" else -1.0
+    res_v = sign * operator_residual(v, of).values[trusted]
     res_u = operator_residual(u, of).values[trusted]
     worst_sub = float(res_v.min())
     worst_sol = float(np.max(np.abs(res_u)))
@@ -194,53 +201,14 @@ def comparison_check(u: ScalarField, v: ScalarField, of: OrliczFunction,
     if tol_cmp is None:
         tol_cmp = 2.0 * discretization_benchmark(max(u.grid.nx, u.grid.ny))
     interior = u.interior_mask()
-    diff = v.values - u.values
+    diff = lo.values - hi.values
     diff[~interior] = -np.inf
     k = int(np.argmax(diff))
     max_viol = float(diff.ravel()[k])
     loc = tuple(int(x) for x in np.unravel_index(k, diff.shape))
     passed = sub_ok and sol_ok and max_viol <= tol_cmp
     return ComparisonReport(passed, max_viol, tol_cmp, loc, sub_ok, sol_ok,
-                            worst_sub, worst_sol)
-
-
-def _supersolution_comparison(u: ScalarField, vbar: ScalarField,
-                              of: OrliczFunction,
-                              tol_cmp: float | None = None) -> ComparisonReport:
-    """u <= vbar for a solution u under a super-solution vbar."""
-    ui, uo = u.meta["inner_value"], u.meta["outer_value"]
-    bi, bo = vbar.meta["inner_value"], vbar.meta["outer_value"]
-    if ui > bi + 1e-12 or uo > bo + 1e-12:
-        raise PreconditionFail("boundary ordering violated for the upper barrier")
-    ring = u.ring or vbar.ring
-    depth = ring.interior_depth()
-    trusted = (u.mask == Mask.INTERIOR) & (depth >= 2)
-    tol_res = 1e-3 * _flux_scale(u, of, trusted)
-    worst_super = float(operator_residual(vbar, of).values[trusted].max())
-    worst_sol = float(np.max(np.abs(operator_residual(u, of).values[trusted])))
-    if tol_cmp is None:
-        tol_cmp = 2.0 * discretization_benchmark(max(u.grid.nx, u.grid.ny))
-    interior = u.interior_mask()
-    diff = u.values - vbar.values
-    diff[~interior] = -np.inf
-    k = int(np.argmax(diff))
-    max_viol = float(diff.ravel()[k])
-    loc = tuple(int(x) for x in np.unravel_index(k, diff.shape))
-    super_ok = worst_super <= tol_res
-    sol_ok = worst_sol <= tol_res
-    passed = super_ok and sol_ok and max_viol <= tol_cmp
-    return ComparisonReport(passed, max_viol, tol_cmp, loc, super_ok, sol_ok,
-                            worst_super, worst_sol)
-
-
-def _flux_scale(u: ScalarField, of: OrliczFunction, cells) -> float:
-    gx = np.gradient(u.values, u.grid.h, axis=1)
-    gy = np.gradient(u.values, u.grid.h, axis=0)
-    gn = np.hypot(gx, gy)[cells]
-    ring = u.ring
-    gap = ring.gap if ring is not None else 1.0
-    return float(np.median(np.asarray(of.h(np.minimum(gn, of.t_max)), dtype=float))) \
-        / max(gap, 1e-12)
+                            sign * worst_sub, worst_sol)
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +271,7 @@ def outer_lipschitz_check(u: ScalarField, ring: ConvexRing, of: OrliczFunction,
             "inner_value": barrier_profile.f1 - fw.meta["inner_value"],
             "outer_value": barrier_profile.f1 - fw.meta["outer_value"],
             "delta_final": w.meta.get("delta_final", 1e-6)})
-        comparison = _supersolution_comparison(u, vbar, of)
+        comparison = comparison_check(u, vbar, of, direction="super")
 
     dist_k = np.maximum(ring.sdf("inner"), 0.0)
     sel = near & (dist_k > 0.5 * ring.grid.h)

@@ -31,10 +31,11 @@ import scipy.sparse.linalg as spla
 
 from .errors import DegenerateGradient, LineSearchStall, StagnationPoint
 from .geometry import ConvexRing, Grid, Mask
-from .orlicz import OrliczFunction
+from .orlicz import OrliczFunction, power
 
 _G_LOWER = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])   # slots (A, B, C)
 _G_UPPER = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])   # slots (A, C, D)
+_QUADRATIC = power(2.0)                                      # the Laplacian's law
 
 
 @dataclass
@@ -82,13 +83,16 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """tol applies to the residual max-norm relative to the ring's flux
-    scale (median face flux over the ring gap), so one setting covers both
-    mild and strongly degenerate laws."""
+    """Continuation and stopping rule of the Newton solve.
+
+    delta_schedule: strictly decreasing regularizations, the last >= 1e-8;
+    tol: the residual max-norm relative to the ring's flux scale (see
+    `flux_scale`), so one setting covers mild and strongly degenerate laws;
+    max_iter: Newton iterates per delta stage. Every linear system is solved
+    by a sparse LU factorisation."""
     delta_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     tol: float = 1e-8
     max_iter: int = 60
-    linear_solver: str = "direct"
 
     def __post_init__(self):
         sched = tuple(self.delta_schedule)
@@ -96,8 +100,14 @@ class SolveOptions:
             raise ValueError("delta schedule must decrease strictly")
         if sched[-1] < 1e-8:
             raise ValueError("final delta below 1e-8")
-        if self.linear_solver not in ("direct", "cg"):
-            raise ValueError("linear_solver must be 'direct' or 'cg'")
+
+
+def flux_scale(q, of: OrliczFunction, gap: float) -> float:
+    """Median flux h(q) over gradient magnitudes q, divided by the ring gap:
+    the natural size of the discrete operator, which scales every residual
+    tolerance."""
+    flux = np.asarray(of.h(np.minimum(q, of.t_max)), dtype=float)
+    return float(np.median(flux)) / max(gap, 1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -108,7 +118,7 @@ class _Assembly:
     """Triangle lists, the ghost closure, and energy/gradient/Hessian kernels."""
 
     def __init__(self, ring: ConvexRing):
-        self.ring = ring
+        self.gap = ring.gap
         grid = ring.grid
         self.h = grid.h
         ny, nx = grid.ny, grid.nx
@@ -199,41 +209,14 @@ class _Assembly:
         return self.gradient_full(v_full, of, delta)[self.interior_ids]
 
     def flux_scale(self, v_full, of, delta) -> float:
-        """Median face flux over the ring gap: the natural residual size."""
-        fluxes = []
-        for tri, G in zip(self.tris, self.gmats):
-            g = v_full[tri] @ G.T
-            q = np.sqrt(g[:, 0] ** 2 + g[:, 1] ** 2 + delta * delta)
-            fluxes.append(np.asarray(of.h(np.minimum(q, of.t_max)), dtype=float))
-        med = float(np.median(np.concatenate(fluxes)))
-        return med / max(self.ring.gap, 1e-12)
+        """flux_scale over the face gradients of both triangle lists."""
+        g = np.concatenate([v_full[tri] @ G.T for tri, G in zip(self.tris, self.gmats)])
+        q = np.sqrt(g[:, 0] ** 2 + g[:, 1] ** 2 + delta * delta)
+        return flux_scale(q, of, self.gap)
 
     def jacobian_rows(self, v_full, of, delta):
         H_full = self._hessian_full(v_full, of, delta)
         return (H_full[self.interior_ids, :] @ self.P).tocsc()
-
-
-_POWER2 = None
-
-
-def _quadratic_law():
-    global _POWER2
-    if _POWER2 is None:
-        from .orlicz import power
-        _POWER2 = power(2.0)
-    return _POWER2
-
-
-def _linear_solve(A, rhs, method: str):
-    if method == "direct":
-        return spla.splu(A).solve(rhs)
-    # conjugate-gradient-like path: BiCGstab (rows are mildly nonsymmetric
-    # near the boundary closure), diagonal preconditioner, direct fallback
-    M = sp.diags(1.0 / A.diagonal())
-    x, info = spla.bicgstab(A, rhs, rtol=1e-12, atol=0.0, maxiter=10000, M=M)
-    if info != 0:
-        return spla.splu(A).solve(rhs)
-    return x
 
 
 # --------------------------------------------------------------------------
@@ -244,13 +227,13 @@ def solve_harmonic(ring: ConvexRing, opts: SolveOptions | None = None,
                    inner_value: float = 1.0, outer_value: float = 0.0) -> ScalarField:
     """Discrete Laplace solve (5-point rows with the ghost closure, one solve)."""
     opts = opts or SolveOptions()
-    asm = _get_assembly(ring)
-    of = _quadratic_law()
+    asm = _assembly(ring)
+    of = _QUADRATIC
     q0 = asm.closure_offset(inner_value, outer_value)
     v = asm.full_values(np.zeros(asm.n_unknown), q0)
     A = asm.jacobian_rows(v, of, 0.0)
     G = asm.residual_rows(v, of, 0.0)
-    u = _linear_solve(A, -G, opts.linear_solver)
+    u = spla.splu(A).solve(-G)
     v = asm.full_values(u, q0)
     res = float(np.max(np.abs(asm.residual_rows(v, of, 0.0)))) / asm.h ** 2
     scale = max(1.0, asm.flux_scale(v, of, 0.0))
@@ -277,14 +260,13 @@ def solve_h_potential(ring: ConvexRing, of: OrliczFunction,
     """
     opts = opts or SolveOptions()
     _coercivity_warning(of)
-    asm = _get_assembly(ring)
+    asm = _assembly(ring)
     q0 = asm.closure_offset(inner_value, outer_value)
 
     # harmonic warm start
-    of2 = _quadratic_law()
     v = asm.full_values(np.zeros(asm.n_unknown), q0)
-    A = asm.jacobian_rows(v, of2, 0.0)
-    u = _linear_solve(A, -asm.residual_rows(v, of2, 0.0), opts.linear_solver)
+    A = asm.jacobian_rows(v, _QUADRATIC, 0.0)
+    u = spla.splu(A).solve(-asm.residual_rows(v, _QUADRATIC, 0.0))
 
     log = []
     converged = True
@@ -330,7 +312,7 @@ def _newton_stage(asm, of, q0, u, delta, opts):
         if res < opts.tol * scale:
             return u, J, True, stage_log
         A = asm.jacobian_rows(v, of, delta)
-        du = _linear_solve(A, -G, opts.linear_solver)
+        du = spla.splu(A).solve(-G)
         step = 1.0
         accepted = False
         for _ in range(40):
@@ -378,7 +360,7 @@ def operator_residual(fld: ScalarField, of: OrliczFunction,
     ring = fld.ring
     if ring is None:
         raise ValueError("field carries no ring")
-    asm = _get_assembly(ring)
+    asm = _assembly(ring)
     grad = asm.gradient_full(fld.values.ravel(), of, delta)
     res = np.zeros_like(grad)
     interior = fld.mask.ravel() == Mask.INTERIOR
@@ -386,18 +368,8 @@ def operator_residual(fld: ScalarField, of: OrliczFunction,
     return fld.copy_with(res.reshape(fld.values.shape), meta={"kind": "residual"})
 
 
-_ASSEMBLY_CACHE: dict[int, tuple] = {}
-
-
-def _get_assembly(ring: ConvexRing) -> _Assembly:
-    # the cached tuple keeps the ring alive, so its id cannot be recycled
-    entry = _ASSEMBLY_CACHE.get(id(ring))
-    if entry is None or entry[0] is not ring:
-        if len(_ASSEMBLY_CACHE) > 8:
-            _ASSEMBLY_CACHE.clear()
-        entry = (ring, _Assembly(ring))
-        _ASSEMBLY_CACHE[id(ring)] = entry
-    return entry[1]
+def _assembly(ring: ConvexRing) -> _Assembly:
+    return ring.cached("assembly", _Assembly)
 
 
 @dataclass
@@ -411,6 +383,28 @@ class LevelDiagnostics:
     cells: np.ndarray          # nodes where every diagnostic is trustworthy
     vanishing: np.ndarray      # nodes excluded for |grad| below threshold
     vanish_tol: float
+    trusted: np.ndarray        # cells on ring.trusted(): where certificates run
+
+
+def central_gradient(values: np.ndarray, h: float):
+    """Central differences (gx, gy); NaN where the stencil leaves the array."""
+    gx = np.full(values.shape, np.nan)
+    gy = np.full(values.shape, np.nan)
+    gx[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2 * h)
+    gy[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2 * h)
+    return gx, gy
+
+
+def _shift(arr: np.ndarray, dj: int, di: int, fill):
+    """out[j, i] = arr[j + dj, i + di], and fill where that leaves the array."""
+    out = np.full(arr.shape, fill, dtype=np.result_type(arr, fill))
+    ny, nx = arr.shape
+    js = slice(max(dj, 0), ny + min(dj, 0))
+    jt = slice(max(-dj, 0), ny + min(-dj, 0))
+    is_ = slice(max(di, 0), nx + min(di, 0))
+    it = slice(max(-di, 0), nx + min(-di, 0))
+    out[jt, it] = arr[js, is_]
+    return out
 
 
 def level_diagnostics(fld: ScalarField, vanish_tol: float | None = None) -> LevelDiagnostics:
@@ -423,32 +417,18 @@ def level_diagnostics(fld: ScalarField, vanish_tol: float | None = None) -> Leve
     v = fld.values
     h = fld.grid.h
     valid = fld.valid_mask()
-    interior = fld.interior_mask()
 
-    def shift(arr, dj, di, fill=np.nan):
-        out = np.full_like(arr, fill, dtype=float)
-        ny, nx = arr.shape
-        js = slice(max(dj, 0), ny + min(dj, 0))
-        jt = slice(max(-dj, 0), ny + min(-dj, 0))
-        is_ = slice(max(di, 0), nx + min(di, 0))
-        it = slice(max(-di, 0), nx + min(-di, 0))
-        out[jt, it] = arr[js, is_]
-        return out
-
-    ok = interior.copy()
+    ok = fld.interior_mask()
     for dj in (-1, 0, 1):
         for di in (-1, 0, 1):
-            if dj == 0 and di == 0:
-                continue
-            ok &= shift(valid.astype(float), dj, di, 0.0) > 0.5
+            ok &= _shift(valid, dj, di, False)
 
-    vE, vW = shift(v, 0, 1), shift(v, 0, -1)
-    vN, vS = shift(v, 1, 0), shift(v, -1, 0)
-    vNE, vSW = shift(v, 1, 1), shift(v, -1, -1)
-    vNW, vSE = shift(v, 1, -1), shift(v, -1, 1)
+    vE, vW = _shift(v, 0, 1, np.nan), _shift(v, 0, -1, np.nan)
+    vN, vS = _shift(v, 1, 0, np.nan), _shift(v, -1, 0, np.nan)
+    vNE, vSW = _shift(v, 1, 1, np.nan), _shift(v, -1, -1, np.nan)
+    vNW, vSE = _shift(v, 1, -1, np.nan), _shift(v, -1, 1, np.nan)
 
-    wx = (vE - vW) / (2 * h)
-    wy = (vN - vS) / (2 * h)
+    wx, wy = central_gradient(v, h)
     wxx = (vE - 2 * v + vW) / h ** 2
     wyy = (vN - 2 * v + vS) / h ** 2
     wxy = (vNE + vSW - vNW - vSE) / (4 * h ** 2)
@@ -458,13 +438,15 @@ def level_diagnostics(fld: ScalarField, vanish_tol: float | None = None) -> Leve
         vanish_tol = 10.0 * max(fld.meta.get("delta_final", 1e-6), 1e-12)
     vanishing = ok & (gn < vanish_tol)
     cells = ok & ~vanishing
+    # without a ring there is no depth, so nothing is trusted
+    trusted = np.zeros_like(cells) if fld.ring is None else cells & fld.ring.trusted()
 
     inf_lap = wx ** 2 * wxx + 2 * wx * wy * wxy + wy ** 2 * wyy
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = -(wxx * wy ** 2 - 2 * wx * wy * wxy + wyy * wx ** 2) / gn ** 3
     lap = wxx + wyy
     return LevelDiagnostics(wx, wy, gn, inf_lap, kappa, lap, cells, vanishing,
-                            vanish_tol)
+                            vanish_tol, trusted)
 
 
 @dataclass(frozen=True)
@@ -476,62 +458,34 @@ class GradientBounds:
 
 
 def gradient_bounds(fld: ScalarField, ring: ConvexRing | None = None) -> GradientBounds:
-    """Bounds 0 < c < |grad w| < C from core cells plus one-sided estimates
-    at boundary-adjacent cells."""
+    """Bounds 0 < c < |grad w| < C from central differences on trusted nodes
+    plus second-order one-sided estimates on the first interior layer."""
     ring = ring or fld.ring
     v = fld.values
     h = fld.grid.h
-    depth = ring.interior_depth()
-    interior = ring.mask == Mask.INTERIOR
-    ny, nx = v.shape
-
-    core = depth >= 2
-    gx = np.full_like(v, np.nan)
-    gy = np.full_like(v, np.nan)
-    gx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
-    gy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
-    core_ok = core.copy()
-    core_ok[:, 0] = core_ok[:, -1] = False
-    core_ok[0, :] = core_ok[-1, :] = False
-    gn_core = np.hypot(gx, gy)[core_ok]
+    core = ring.trusted()
+    gx, gy = central_gradient(v, h)
+    gn_core = np.hypot(gx, gy)[core]
     gn_core = gn_core[np.isfinite(gn_core)]
 
-    # one-sided second-order estimates on the first two layers
+    # per axis: central differences when both neighbours are interior, else
+    # the forward formula, else the backward one; nodes with neither axis
+    # estimable are dropped
+    interior = ring.interior()
     near = interior & ~core
-    njs, nis = np.nonzero(near)
-    vals = []
-    for j, i in zip(njs, nis):
-        comps = []
-        for axis in (0, 1):
-            best = None
-            if axis == 1:
-                cand = [((0, 1), (0, 2), "f"), ((0, -1), (0, -2), "b")]
-                cent = ((0, 1), (0, -1))
-            else:
-                cand = [((1, 0), (2, 0), "f"), ((-1, 0), (-2, 0), "b")]
-                cent = ((1, 0), (-1, 0))
-            (dj1, di1), (dj2, di2) = cent
-            if (0 <= j + dj1 < ny and 0 <= j + dj2 < ny and 0 <= i + di1 < nx
-                    and 0 <= i + di2 < nx and interior[j + dj1, i + di1]
-                    and interior[j + dj2, i + di2]):
-                best = (v[j + dj1, i + di1] - v[j + dj2, i + di2]) / (2 * h)
-            else:
-                for (dj1, di1), (dj2, di2), kind in cand:
-                    j1, i1, j2, i2 = j + dj1, i + di1, j + dj2, i + di2
-                    if (0 <= j1 < ny and 0 <= j2 < ny and 0 <= i1 < nx and 0 <= i2 < nx
-                            and interior[j1, i1] and interior[j2, i2]):
-                        d = (-3 * v[j, i] + 4 * v[j1, i1] - v[j2, i2]) / (2 * h)
-                        best = d if kind == "f" else -d
-                        break
-            if best is None:
-                comps = None
-                break
-            comps.append(best)
-        if comps is not None:
-            vals.append(np.hypot(comps[0], comps[1]))
-    gn_near = np.asarray(vals)
+    comps = []
+    for dj, di in ((1, 0), (0, 1)):
+        at = {k: _shift(v, k * dj, k * di, np.nan) for k in (-2, -1, 1, 2)}
+        inside = {k: _shift(interior, k * dj, k * di, False) for k in at}
+        fwd = (-3 * v + 4 * at[1] - at[2]) / (2 * h)
+        bwd = -((-3 * v + 4 * at[-1] - at[-2]) / (2 * h))
+        comp = np.where(inside[1] & inside[2], fwd, bwd)
+        comp = np.where(inside[1] & inside[-1], (at[1] - at[-1]) / (2 * h), comp)
+        near &= (inside[1] & (inside[-1] | inside[2])) | (inside[-1] & inside[-2])
+        comps.append(comp)
+    gn_near = np.hypot(comps[0][near], comps[1][near])
 
-    allg = np.concatenate([gn_core, gn_near]) if len(gn_near) else gn_core
+    allg = np.concatenate([gn_core, gn_near])
     if allg.size == 0:
         raise DegenerateGradient("no cells with measurable gradient")
     c = float(np.min(allg))
@@ -605,32 +559,16 @@ def trace_flow_line(fld: ScalarField, x0, grad_floor: float | None = None,
 
 
 def _node_gradients(fld: ScalarField):
-    v = fld.values
-    h = fld.grid.h
+    """Central differences over valid nodes, one-sided where a neighbour is
+    missing; NaN off the valid nodes."""
     valid = fld.valid_mask()
-    ny, nx = v.shape
-    gx = np.full_like(v, np.nan)
-    gy = np.full_like(v, np.nan)
-
-    vE = np.full_like(v, np.nan)
-    vW = np.full_like(v, np.nan)
-    vN = np.full_like(v, np.nan)
-    vS = np.full_like(v, np.nan)
-    vE[:, :-1] = np.where(valid[:, 1:], v[:, 1:], np.nan)
-    vW[:, 1:] = np.where(valid[:, :-1], v[:, :-1], np.nan)
-    vN[:-1, :] = np.where(valid[1:, :], v[1:, :], np.nan)
-    vS[1:, :] = np.where(valid[:-1, :], v[:-1, :], np.nan)
-
-    central_x = (vE - vW) / (2 * h)
-    central_y = (vN - vS) / (2 * h)
-    fwd_x = (vE - v) / h
-    bwd_x = (v - vW) / h
-    fwd_y = (vN - v) / h
-    bwd_y = (v - vS) / h
-    gx = np.where(np.isfinite(central_x), central_x,
-                  np.where(np.isfinite(fwd_x), fwd_x, bwd_x))
-    gy = np.where(np.isfinite(central_y), central_y,
-                  np.where(np.isfinite(fwd_y), fwd_y, bwd_y))
-    gx[~valid] = np.nan
-    gy[~valid] = np.nan
-    return gx, gy
+    vm = np.where(valid, fld.values, np.nan)
+    h = fld.grid.h
+    out = []
+    for g, (dj, di) in zip(central_gradient(vm, h), ((0, 1), (1, 0))):
+        fwd = (_shift(vm, dj, di, np.nan) - vm) / h
+        bwd = (vm - _shift(vm, -dj, -di, np.nan)) / h
+        g = np.where(np.isfinite(g), g, np.where(np.isfinite(fwd), fwd, bwd))
+        g[~valid] = np.nan
+        out.append(g)
+    return tuple(out)

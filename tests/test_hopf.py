@@ -173,6 +173,52 @@ def test_lipschitz_cap_outer_ring(cap_rings257):
     assert given.to_text() == rep.to_text()
 
 
+@pytest.fixture(scope="module")
+def outer_quadratic(cap_rings257):
+    """Outer cap ring, quadratic law: the solution u (0 on the obstacle, 1
+    outside), the harmonic potential w and a super barrier profile over w."""
+    ring = cap_rings257.outer_ring
+    of = power(2.0)
+    u = solve_harmonic(ring, inner_value=0.0, outer_value=1.0)
+    w = solve_harmonic(ring)
+    diag = level_diagnostics(w)
+    z = zeta_from_field(w, diag=diag)
+    prof = tune_m(of, z, 1.0, float(np.max(diag.grad_norm[diag.trusted])), 1.0 + 1e-5)
+    return ring, of, u, w, prof
+
+
+def test_lipschitz_barrier_without_boundary_data(outer_quadratic):
+    ring, of, u, w, prof = outer_quadratic
+    bare = u.copy_with(u.values, meta={})
+    with pytest.raises(PreconditionFail):
+        outer_lipschitz_check(bare, ring, of, r_ref=0.25, barrier_profile=prof,
+                              harmonic=w)
+
+
+def test_super_comparison_boundary_precondition(outer_quadratic):
+    ring, of, u, w, prof = outer_quadratic
+    below = u.copy_with(u.values - 0.5, meta={"inner_value": -0.5,
+                                              "outer_value": 0.5})
+    with pytest.raises(PreconditionFail):
+        comparison_check(u, below, of, direction="super")
+
+
+def test_lipschitz_bump_above_super_barrier_fails(outer_quadratic):
+    ring, of, u, w, prof = outer_quadratic
+    clean = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier_profile=prof,
+                                  harmonic=w)
+    assert clean.comparison.passed
+    pts = ring.grid.points()
+    bump = 0.5 * np.exp(-(pts[..., 0] ** 2 + (pts[..., 1] - 0.3) ** 2) / 0.005)
+    bump[~u.interior_mask()] = 0.0
+    bumped = u.copy_with(u.values + bump)
+    rep = outer_lipschitz_check(bumped, ring, of, r_ref=0.25, barrier_profile=prof,
+                                harmonic=w)
+    assert rep.comparison.passed is False
+    assert rep.comparison.max_violation > rep.comparison.tol_cmp
+    assert not rep.passed
+
+
 # --- Hoelder ------------------------------------------------------------------
 
 def _field_pair(seed, n=48):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from hopflab import (Mask, ScalarField, SolveOptions, gradient_bounds,
                      level_diagnostics, make_annulus, operator_residual, power,
                      solve_h_potential, solve_harmonic, trace_flow_line)
 from hopflab.geometry import convexity_midpoint_check
+from hopflab.solver import GradientBounds, _node_gradients
 from hopflab.errors import DegenerateGradient, StagnationPoint
 
 
@@ -174,6 +178,121 @@ def test_gradient_bounds_annulus(annulus129, harmonic129):
     gb = gradient_bounds(harmonic129, annulus129)
     assert gb.c == pytest.approx(1 / (2 * np.log(2)), rel=0.05)
     assert gb.C == pytest.approx(1 / np.log(2), rel=0.05)
+
+
+def _reference_gradient_bounds(fld, ring):
+    """The per-node formulation of gradient_bounds, kept as the reference the
+    array code must match bit for bit."""
+    v = fld.values
+    h = fld.grid.h
+    depth = ring.interior_depth()
+    interior = ring.mask == Mask.INTERIOR
+    ny, nx = v.shape
+    core = depth >= 2
+    gx = np.full_like(v, np.nan)
+    gy = np.full_like(v, np.nan)
+    gx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
+    gy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
+    core_ok = core.copy()
+    core_ok[:, 0] = core_ok[:, -1] = False
+    core_ok[0, :] = core_ok[-1, :] = False
+    gn_core = np.hypot(gx, gy)[core_ok]
+    gn_core = gn_core[np.isfinite(gn_core)]
+    vals = []
+    for j, i in zip(*np.nonzero(interior & ~core)):
+        comps = []
+        for axis in (0, 1):
+            best = None
+            if axis == 1:
+                cand = [((0, 1), (0, 2), "f"), ((0, -1), (0, -2), "b")]
+                cent = ((0, 1), (0, -1))
+            else:
+                cand = [((1, 0), (2, 0), "f"), ((-1, 0), (-2, 0), "b")]
+                cent = ((1, 0), (-1, 0))
+            (dj1, di1), (dj2, di2) = cent
+            if (0 <= j + dj1 < ny and 0 <= j + dj2 < ny and 0 <= i + di1 < nx
+                    and 0 <= i + di2 < nx and interior[j + dj1, i + di1]
+                    and interior[j + dj2, i + di2]):
+                best = (v[j + dj1, i + di1] - v[j + dj2, i + di2]) / (2 * h)
+            else:
+                for (dj1, di1), (dj2, di2), kind in cand:
+                    j1, i1, j2, i2 = j + dj1, i + di1, j + dj2, i + di2
+                    if (0 <= j1 < ny and 0 <= j2 < ny and 0 <= i1 < nx and 0 <= i2 < nx
+                            and interior[j1, i1] and interior[j2, i2]):
+                        d = (-3 * v[j, i] + 4 * v[j1, i1] - v[j2, i2]) / (2 * h)
+                        best = d if kind == "f" else -d
+                        break
+            if best is None:
+                comps = None
+                break
+            comps.append(best)
+        if comps is not None:
+            vals.append(np.hypot(comps[0], comps[1]))
+    gn_near = np.asarray(vals)
+    allg = np.concatenate([gn_core, gn_near]) if len(gn_near) else gn_core
+    return GradientBounds(float(np.min(allg)), float(np.max(allg)),
+                          int(gn_core.size), int(gn_near.size))
+
+
+@pytest.fixture(scope="module")
+def cap_outer_harmonic257(cap_rings257):
+    return solve_harmonic(cap_rings257.outer_ring)
+
+
+@pytest.fixture(scope="module")
+def thin_harmonic65():
+    # a band about two cells wide: no trusted nodes, and some first-layer
+    # nodes have no usable stencil along an axis
+    return solve_harmonic(make_annulus(1.0, 1.1, resolution=65))
+
+
+@pytest.mark.parametrize("name", ["harmonic129", "cap_harmonic257",
+                                  "cap_outer_harmonic257", "thin_harmonic65"])
+def test_gradient_bounds_match_per_node_reference(name, request):
+    # the cap rings put central stencils against ghost nodes on curved
+    # boundaries, where the stencil choice matters
+    w = request.getfixturevalue(name)
+    got = gradient_bounds(w, w.ring)
+    ref = _reference_gradient_bounds(w, w.ring)
+    assert ref.n_near > 0
+    for key in ("c", "C", "n_core", "n_near"):
+        assert getattr(got, key) == getattr(ref, key), key
+
+
+def test_node_gradients_central_then_one_sided(cap_harmonic257):
+    w = cap_harmonic257
+    v, h, valid = w.values, w.grid.h, w.valid_mask()
+    gx, gy = _node_gradients(w)
+    for g, axis in ((gx, 1), (gy, 0)):
+        for j, i in zip(*np.nonzero(valid)):
+            step = (0, 1) if axis == 1 else (1, 0)
+            nb = []
+            for s in (1, -1):
+                jj, ii = j + s * step[0], i + s * step[1]
+                inside = 0 <= jj < v.shape[0] and 0 <= ii < v.shape[1]
+                nb.append(v[jj, ii] if inside and valid[jj, ii] else None)
+            if nb[0] is not None and nb[1] is not None:
+                expect = (nb[0] - nb[1]) / (2 * h)
+            elif nb[0] is not None:
+                expect = (nb[0] - v[j, i]) / h
+            elif nb[1] is not None:
+                expect = (v[j, i] - nb[1]) / h
+            else:
+                expect = np.nan
+            assert g[j, i] == expect or (np.isnan(expect) and np.isnan(g[j, i]))
+    assert np.isnan(gx[~valid]).all() and np.isnan(gy[~valid]).all()
+
+
+def test_ring_caches_die_with_the_ring():
+    # per-ring derived data (the solver assembly, depth, distances) is cached
+    # on the ring itself, so nothing outside keeps a dropped ring alive
+    ring = make_annulus(1.0, 2.0, resolution=65)
+    w = solve_harmonic(ring)
+    operator_residual(w, power(3.0))
+    ref = weakref.ref(ring)
+    del ring, w
+    gc.collect()
+    assert ref() is None
 
 
 def test_gradient_bounds_degenerate(annulus129):
