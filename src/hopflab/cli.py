@@ -96,6 +96,7 @@ def parse_config(path, grid_override=None, p_override=None) -> RunConfig:
         if rd:
             cfg.hopf_radii = tuple(float(x) for x in rd.split())
         cfg.seed = int(g.flt("run", "seed", cfg.seed))
+        g.reject_unread()
 
     if grid_override is not None:
         cfg.resolution = int(grid_override)
@@ -106,15 +107,31 @@ def parse_config(path, grid_override=None, p_override=None) -> RunConfig:
 
 
 class _Getter:
+    """Typed reads from the parsed file; it remembers every (section, key)
+    asked for, so anything else in the file can be refused."""
+
     def __init__(self, parser):
         self.parser = parser
+        self.read = set()
+
+    def reject_unread(self):
+        known = {sec for sec, _ in self.read}
+        for sec in self.parser.sections():
+            if sec not in known:
+                raise ConfigError(f"unknown config section [{sec}]")
+        for sec in self.parser:       # [DEFAULT] first; its keys reach every section
+            for key in self.parser[sec]:
+                if (sec, key) not in self.read:
+                    raise ConfigError(f"unknown config key [{sec}] {key}")
 
     def str(self, sec, key, default):
+        self.read.add((sec, key))
         if self.parser.has_option(sec, key):
             return self.parser.get(sec, key).strip()
         return default
 
     def flt(self, sec, key, default):
+        self.read.add((sec, key))
         if self.parser.has_option(sec, key):
             try:
                 return float(self.parser.get(sec, key))

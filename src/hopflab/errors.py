@@ -56,10 +56,6 @@ class GridTooSmall(HopflabError):
 
 # --- solver ---
 
-class LineSearchStall(HopflabError):
-    """Energy could not be decreased along any tried direction."""
-
-
 class VanishingGradient(HopflabError):
     """No cells with usable gradient magnitude remain."""
 

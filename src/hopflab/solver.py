@@ -22,6 +22,7 @@ by cell area, so a solved field has residual below the solver tolerance
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,13 +30,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DegenerateGradient, LineSearchStall, StagnationPoint
+from .errors import DegenerateGradient, StagnationPoint
 from .geometry import ConvexRing, Grid, Mask
 from .orlicz import OrliczFunction, power
 
 _G_LOWER = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])   # slots (A, B, C)
 _G_UPPER = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])   # slots (A, C, D)
 _QUADRATIC = power(2.0)                                      # the Laplacian's law
+_LEAF = 64                # dissection boxes of at most this many nodes stay whole
 
 
 @dataclass
@@ -88,8 +90,12 @@ class SolveOptions:
     delta_schedule: strictly decreasing regularizations, the last >= 1e-8;
     tol: the residual max-norm relative to the ring's flux scale (see
     `flux_scale`), so one setting covers mild and strongly degenerate laws;
-    max_iter: Newton iterates per delta stage. Every linear system is solved
-    by a sparse LU factorisation."""
+    max_iter: Newton iterates per delta stage.
+
+    Every linear system is solved by a sparse LU factorisation of the
+    Jacobian, with the unknowns numbered in nested-dissection order. The
+    Laplace solve is factorised once per ring and reused for any boundary
+    data, including the harmonic warm start of the Newton solve."""
     delta_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     tol: float = 1e-8
     max_iter: int = 60
@@ -139,7 +145,9 @@ class _Assembly:
         self.gmats = (_G_LOWER / self.h, _G_UPPER / self.h)
         self.area = 0.5 * self.h * self.h
 
-        self.interior_ids = np.flatnonzero(interior)
+        interior_ids = np.flatnonzero(interior)
+        rows_j, cols_i = np.divmod(interior_ids, nx)
+        self.interior_ids = interior_ids[_dissection_order(cols_i, rows_j)]
         self.n_unknown = len(self.interior_ids)
         unk_of = np.full(self.n_nodes, -1, dtype=np.int64)
         unk_of[self.interior_ids] = np.arange(self.n_unknown)
@@ -219,22 +227,79 @@ class _Assembly:
         return (H_full[self.interior_ids, :] @ self.P).tocsc()
 
 
+def _dissection_order(i, j):
+    """Nested-dissection numbering of the nodes at columns i, rows j
+    (A. George, "Nested dissection of a regular finite element mesh",
+    SIAM J. Numer. Anal. 10, 1973): indices into i and j.
+
+    The box of the nodes is split at the middle grid line of its longer
+    side; both halves are numbered first, recursively, and the line last.
+    One line separates because the criss-cross stencil couples a node only
+    to its E, W, N, S and SW-NE diagonal neighbours. Boxes of at most
+    _LEAF nodes keep the given order."""
+    def split(idx):
+        if len(idx) <= _LEAF:
+            return [idx]
+        ci, cj = i[idx], j[idx]
+        i0, i1, j0, j1 = ci.min(), ci.max(), cj.min(), cj.max()
+        coord, mid = (ci, (i0 + i1) // 2) if i1 - i0 >= j1 - j0 else (cj, (j0 + j1) // 2)
+        return split(idx[coord < mid]) + split(idx[coord > mid]) + [idx[coord == mid]]
+    return np.concatenate(split(np.arange(len(i))))
+
+
+def _heap_trim():
+    """The C library's malloc_trim(pad), or a no-op where it has none."""
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: 0
+
+
+_TRIM_HEAP = _heap_trim()
+
+
+def _lu(A):
+    """SuperLU factor of a Jacobian. Its unknowns are already numbered in
+    nested-dissection order, so SuperLU keeps the column order as given.
+
+    Free heap pages go back to the system first. Otherwise glibc's dynamic
+    mmap threshold keeps a varying share of the previous iterate's freed
+    temporaries resident: the peak RSS of the 513 annulus solve then read
+    342 or 444 MB depending on the input, instead of live data plus one
+    factor (326 MB)."""
+    _TRIM_HEAP(0)
+    return spla.splu(A, permc_spec="NATURAL")
+
+
 # --------------------------------------------------------------------------
 # solvers
 # --------------------------------------------------------------------------
 
+def _harmonic_unknowns(ring: ConvexRing, inner_value: float, outer_value: float):
+    """Interior unknowns of the Laplace solve with data inner/outer value.
+
+    One solve with data (1, 0) per ring, cached on the ring as w; any other
+    data give outer + (inner - outer) * w, exactly in exact arithmetic
+    because the ghost closure reproduces constants, and bitwise w itself
+    for (1, 0)."""
+    def solve(r):
+        asm = _assembly(r)
+        v = asm.full_values(np.zeros(asm.n_unknown), asm.closure_offset(1.0, 0.0))
+        A = asm.jacobian_rows(v, _QUADRATIC, 0.0)
+        return _lu(A).solve(-asm.residual_rows(v, _QUADRATIC, 0.0))
+    w = ring.cached("harmonic", solve)
+    return outer_value + (inner_value - outer_value) * w
+
+
 def solve_harmonic(ring: ConvexRing, opts: SolveOptions | None = None,
                    inner_value: float = 1.0, outer_value: float = 0.0) -> ScalarField:
-    """Discrete Laplace solve (5-point rows with the ghost closure, one solve)."""
+    """Discrete Laplace solve (5-point rows with the ghost closure); one
+    factorisation per ring serves every boundary data."""
     opts = opts or SolveOptions()
     asm = _assembly(ring)
     of = _QUADRATIC
     q0 = asm.closure_offset(inner_value, outer_value)
-    v = asm.full_values(np.zeros(asm.n_unknown), q0)
-    A = asm.jacobian_rows(v, of, 0.0)
-    G = asm.residual_rows(v, of, 0.0)
-    u = spla.splu(A).solve(-G)
-    v = asm.full_values(u, q0)
+    v = asm.full_values(_harmonic_unknowns(ring, inner_value, outer_value), q0)
     res = float(np.max(np.abs(asm.residual_rows(v, of, 0.0)))) / asm.h ** 2
     scale = max(1.0, asm.flux_scale(v, of, 0.0))
     values = v.reshape(ring.grid.ny, ring.grid.nx)
@@ -262,11 +327,7 @@ def solve_h_potential(ring: ConvexRing, of: OrliczFunction,
     _coercivity_warning(of)
     asm = _assembly(ring)
     q0 = asm.closure_offset(inner_value, outer_value)
-
-    # harmonic warm start
-    v = asm.full_values(np.zeros(asm.n_unknown), q0)
-    A = asm.jacobian_rows(v, _QUADRATIC, 0.0)
-    u = spla.splu(A).solve(-asm.residual_rows(v, _QUADRATIC, 0.0))
+    u = _harmonic_unknowns(ring, inner_value, outer_value)     # warm start
 
     log = []
     converged = True
@@ -298,7 +359,9 @@ def _newton_stage(asm, of, q0, u, delta, opts):
 
     Newton directions are exact-Jacobian directions and hence always merit
     descent directions; a failed backtracking line search therefore means
-    the residual assembly has reached its floating-point floor.
+    the residual assembly has reached its floating-point floor. Near the
+    tolerance that counts as converged; far from it the stage reports
+    failure with its last accepted iterate.
     """
     v = asm.full_values(u, q0)
     G = asm.residual_rows(v, of, delta)
@@ -312,7 +375,7 @@ def _newton_stage(asm, of, q0, u, delta, opts):
         if res < opts.tol * scale:
             return u, J, True, stage_log
         A = asm.jacobian_rows(v, of, delta)
-        du = spla.splu(A).solve(-G)
+        du = _lu(A).solve(-G)
         step = 1.0
         accepted = False
         for _ in range(40):
@@ -325,10 +388,8 @@ def _newton_stage(asm, of, q0, u, delta, opts):
                 break
             step *= 0.5
         if not accepted:
-            if res < 100.0 * opts.tol * scale:
-                # rounding floor of the flux cancellation, close enough
-                return u, J, True, stage_log
-            raise LineSearchStall("no residual decrease far from tolerance")
+            # rounding floor of the flux cancellation: close enough, or a stall
+            return u, J, res < 100.0 * opts.tol * scale, stage_log
         u, v, G, phi = u_try, v_try, G_try, phi_try
     return u, asm.energy(v, of, delta), False, stage_log
 

@@ -120,6 +120,39 @@ max_iter = 1
     assert (tmp_path / "out" / "potential.grid").exists()
 
 
+def test_solve_stall_exit_3_writes_last_iterate(tmp_path):
+    # a tolerance below the rounding floor stalls the line search; the stall
+    # is recorded, not raised
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65 + """
+[solver]
+tol = 1e-16
+""")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert (out / "potential.grid").exists()
+    assert "converged False" in (out / "solve_report.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[solver]\ntoll = 1e-3\n", "[solver] toll"),
+    ("[solvr]\ntol = 1e-3\n", "[solvr]"),
+    ("[solvr]\n", "[solvr]"),
+], ids=["key", "section", "empty_section"])
+def test_unknown_config_entry_exit_1(tmp_path, capsys, text, named):
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65 + text)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write_config(tmp_path / "run.ini", block))
+    assert (cfg.geometry_kind, cfg.ring_side, cfg.resolution) == ("dini_cap", "inner", 257)
+    assert cfg.tol == 1e-8 and cfg.seed == 20240817
+
+
 def test_verify_non_dini_modulus_exit_2(tmp_path):
     cfg = write_config(tmp_path / "run.ini", ANNULUS_65 + """
 [modulus]

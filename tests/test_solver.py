@@ -1,15 +1,17 @@
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from conftest import radial_potential
 from hopflab import (Mask, ScalarField, SolveOptions, gradient_bounds,
                      level_diagnostics, make_annulus, operator_residual, power,
-                     solve_h_potential, solve_harmonic, trace_flow_line)
+                     solve_h_potential, solve_harmonic, solver, trace_flow_line)
 from hopflab.geometry import convexity_midpoint_check
-from hopflab.solver import GradientBounds, _node_gradients
+from hopflab.solver import GradientBounds, _dissection_order, _node_gradients
 from hopflab.errors import DegenerateGradient, StagnationPoint
 
 
@@ -293,6 +295,127 @@ def test_ring_caches_die_with_the_ring():
     del ring, w
     gc.collect()
     assert ref() is None
+
+
+# --- unknown ordering and the shared Laplace solve ----------------------------
+
+def _ring(name, request):
+    if name == "annulus257":
+        return request.getfixturevalue("annulus257")
+    rings = request.getfixturevalue("cap_rings257")
+    return rings.inner_ring if name == "cap_inner257" else rings.outer_ring
+
+
+def _laplace_jacobian(ring):
+    asm = solver._assembly(ring)
+    v = asm.full_values(np.zeros(asm.n_unknown), asm.closure_offset(1.0, 0.0))
+    return asm.jacobian_rows(v, power(2.0), 0.0)
+
+
+@pytest.mark.parametrize("name", ["annulus257", "cap_inner257", "cap_outer257"])
+def test_dissection_order_numbers_separator_last(name, request):
+    ring = _ring(name, request)
+    ids = np.flatnonzero(ring.interior())
+    j, i = np.divmod(ids, ring.grid.nx)
+    order = _dissection_order(i, j)
+    assert np.array_equal(np.sort(order), np.arange(ids.size))
+    assert np.array_equal(solver._assembly(ring).interior_ids, ids[order])
+    # top level: the middle grid line of the longer side of the nodes' box
+    coord = i if np.ptp(i) >= np.ptp(j) else j
+    mid = (coord.min() + coord.max()) // 2
+    position = np.empty(ids.size, dtype=int)
+    position[order] = np.arange(ids.size)
+    line = coord == mid
+    assert (coord < mid).any() and (coord > mid).any()
+    assert position[line].min() > position[~line].max()
+    # and the line separates: no Jacobian entry, ghost closure included,
+    # couples the two sides
+    side = np.sign(coord - mid)[order]          # in unknown numbering
+    A = _laplace_jacobian(ring).tocoo()
+    assert not np.any(side[A.row] * side[A.col] < 0)
+
+
+def test_dissection_factor_sparser_than_colamd(annulus257):
+    A = _laplace_jacobian(annulus257)
+    fill = [lu.L.nnz + lu.U.nnz for lu in (solver._lu(A), spla.splu(A))]
+    assert fill[0] < fill[1]
+
+
+def _reference_solve(ring, solve):
+    """solve on a fresh copy of ring with the unknowns in row-major node
+    order and SuperLU's default COLAMD column ordering."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_dissection_order", lambda i, j: np.arange(len(i)))
+        m.setattr(solver, "_lu", lambda A: spla.splu(A))
+        return solve(dataclasses.replace(ring, _cache={}))
+
+
+def test_dissection_solves_match_natural_order_colamd(annulus129, cap_outer_harmonic257):
+    of = power(1.5)
+    u = solve_h_potential(annulus129, of)
+    ref = _reference_solve(annulus129, lambda r: solve_h_potential(r, of))
+    assert len(u.meta["log"]) == len(ref.meta["log"])
+    w = cap_outer_harmonic257
+    ref_w = _reference_solve(w.ring, solve_harmonic)
+    for got, want in ((u, ref), (w, ref_w)):
+        assert float(np.max(np.abs(got.values - want.values))) < 1e-12
+
+
+def _count_factorisations(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+def test_laplace_factorised_once_per_ring(monkeypatch):
+    ring = make_annulus(1.0, 2.0, resolution=65)
+    calls = _count_factorisations(monkeypatch)
+    w10 = solve_harmonic(ring)
+    w01 = solve_harmonic(ring, inner_value=0.0, outer_value=1.0)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # direct solve with data (0, 1)
+    asm = solver._assembly(ring)
+    q0 = asm.closure_offset(0.0, 1.0)
+    v = asm.full_values(np.zeros(asm.n_unknown), q0)
+    u = spla.splu(_laplace_jacobian(ring)).solve(-asm.residual_rows(v, power(2.0), 0.0))
+    ref = asm.full_values(u, q0).reshape(w01.values.shape)
+    assert float(np.max(np.abs(w01.values - ref))) < 1e-13
+    assert w01.meta["converged"] and w10.meta["converged"]
+
+
+def test_potential_factorises_once_per_newton_step(monkeypatch):
+    ring = make_annulus(1.0, 2.0, resolution=65)
+    calls = _count_factorisations(monkeypatch)
+    solve_harmonic(ring)
+    opts = SolveOptions()
+    u = solve_h_potential(ring, power(3.0), opts)
+    assert u.meta["converged"]
+    # every logged iterate but the last of each stage took a Newton step,
+    # and the Laplace solve shared by the warm start took one more
+    steps = len(u.meta["log"]) - len(opts.delta_schedule)
+    assert len(calls) == steps + 1
+
+
+def test_heap_trimmed_before_each_factorisation(monkeypatch):
+    ring = make_annulus(1.0, 2.0, resolution=65)
+    calls = _count_factorisations(monkeypatch)
+    trims = []
+    monkeypatch.setattr(solver, "_TRIM_HEAP", lambda pad: trims.append(len(calls)))
+    solve_h_potential(ring, power(3.0))
+    # one trim right before every factorisation, none elsewhere
+    assert trims == list(range(len(calls)))
+
+
+def test_heap_trim_is_a_no_op_without_malloc_trim(monkeypatch):
+    monkeypatch.setattr(solver.ctypes, "CDLL", lambda name: object())
+    assert solver._heap_trim()(0) == 0
 
 
 def test_gradient_bounds_degenerate(annulus129):
