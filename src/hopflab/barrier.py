@@ -17,7 +17,9 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+
+# scipy.interpolate is imported inside the functions that use it: it takes
+# most of a second to load, and `hopflab check` with a power law never needs it.
 
 from .errors import (InversionOverflow, NotIntegrable, OutOfRange,
                      TargetUnreachable, VanishingGradient)
@@ -113,6 +115,7 @@ def zeta_from_modulus(eps: DiniModulus, c: float, C: float, C_D: float) -> ZetaP
     ts = np.geomspace(t_lo, t_hi, 800)
     seg = np.array([gauss_segment(phi, a, b) for a, b in zip(ts[:-1], ts[1:])])
     D = base + np.concatenate([[0.0], np.cumsum(seg)])
+    from scipy.interpolate import PchipInterpolator
     D_of = PchipInterpolator(np.log(ts), D)
     scale = C_D / c ** 4
     l1 = 2.0 * scale * float(D[-1])
@@ -183,6 +186,7 @@ class BarrierProfile:
     params: dict = field(default_factory=dict)
 
     def eval_f(self, w):
+        from scipy.interpolate import PchipInterpolator
         w = np.asarray(w, dtype=float)
         inside = PchipInterpolator(self.knots, self.f)(np.clip(w, 0.0, 1.0))
         below = self.m * w
@@ -190,6 +194,7 @@ class BarrierProfile:
         return np.where(w < 0.0, below, np.where(w > 1.0, above, inside))
 
     def eval_fp(self, w):
+        from scipy.interpolate import PchipInterpolator
         w = np.asarray(w, dtype=float)
         inside = PchipInterpolator(self.knots, self.f_prime)(np.clip(w, 0.0, 1.0))
         return np.where(w < 0.0, self.m, np.where(w > 1.0, self.f_prime[-1], inside))

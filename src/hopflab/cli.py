@@ -77,13 +77,13 @@ def parse_config(path, grid_override=None, p_override=None) -> RunConfig:
         cfg.r2 = g.flt("geometry", "r2", cfg.r2)
         cfg.r_d = g.flt("geometry", "r_d", cfg.r_d)
         cfg.ring_side = g.str("geometry", "ring", cfg.ring_side)
-        cfg.resolution = int(g.flt("grid", "resolution", cfg.resolution))
+        cfg.resolution = g.count("grid", "resolution", cfg.resolution)
         cfg.extent = g.flt("grid", "extent", None)
         sched = g.str("solver", "delta_schedule", None)
         if sched:
             cfg.delta_schedule = tuple(float(x) for x in sched.split())
         cfg.tol = g.flt("solver", "tol", cfg.tol)
-        cfg.max_iter = int(g.flt("solver", "max_iter", cfg.max_iter))
+        cfg.max_iter = g.count("solver", "max_iter", cfg.max_iter)
         cfg.zeta_source = g.str("barrier", "zeta", cfg.zeta_source)
         cfg.c_d = g.flt("barrier", "c_d", cfg.c_d)
         cfg.target = g.str("barrier", "target", cfg.target)
@@ -95,7 +95,7 @@ def parse_config(path, grid_override=None, p_override=None) -> RunConfig:
         rd = g.str("hopf", "radii", None)
         if rd:
             cfg.hopf_radii = tuple(float(x) for x in rd.split())
-        cfg.seed = int(g.flt("run", "seed", cfg.seed))
+        cfg.seed = g.count("run", "seed", cfg.seed)
         g.reject_unread()
 
     if grid_override is not None:
@@ -138,6 +138,13 @@ class _Getter:
             except ValueError as exc:
                 raise ConfigError(f"[{sec}] {key}: {exc}") from exc
         return default
+
+    def count(self, sec, key, default):
+        """A whole number: 257 and 257.0 parse, 100.7 is refused."""
+        value = self.flt(sec, key, default)
+        if not float(value).is_integer():
+            raise ConfigError(f"[{sec}] {key}: {value!r} is not a whole number")
+        return int(value)
 
 
 def _validate(cfg: RunConfig):

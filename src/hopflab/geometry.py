@@ -17,7 +17,9 @@ from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+# scipy.spatial is imported inside the function that uses it, so commands that
+# measure no distance to a polyline do not pay for loading it.
 
 from .errors import (BadRadii, ContainmentViolated, GapTooSmall, GridTooSmall,
                      OutOfRange, TableTooCoarse)
@@ -285,6 +287,7 @@ def _distance_to_polyline(pts, poly):
     if m <= _K_NEAREST:
         return np.sqrt(_all_segments_d2(p, a, ab, ab2)).reshape(shape)
 
+    from scipy.spatial import cKDTree
     r, near = cKDTree(poly).query(p, k=_K_NEAREST)
     seg = np.concatenate([near, (near - 1) % m], axis=1)
     ap = p[:, None, :] - a[seg]

@@ -10,6 +10,10 @@ Grid file layout (plain text, round-trip exact via repr floats):
     blocks values mask
     <ny rows of nx floats>
     <ny rows of nx ints>
+
+Each value is written as repr of a Python float, the shortest string that
+reads back to the same double, and the blocks are read with np.loadtxt, so
+a round trip is bit-exact, -0.0, subnormals, nan and inf included.
 """
 
 from __future__ import annotations
@@ -30,11 +34,9 @@ def write_grid_file(path, grid: Grid, values: np.ndarray, mask: np.ndarray | Non
              f"spacing {grid.h!r}"]
     blocks = ["values"] + (["mask"] if mask is not None else [])
     lines.append("blocks " + " ".join(blocks))
-    for row in np.asarray(values, dtype=float):
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines.extend(" ".join(map(repr, row)) for row in np.asarray(values, dtype=float).tolist())
     if mask is not None:
-        for row in np.asarray(mask):
-            lines.append(" ".join(str(int(v)) for v in row))
+        lines.extend(" ".join(map(str, row)) for row in np.asarray(mask).astype(int).tolist())
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -57,12 +59,11 @@ def read_grid_file(path):
     h = float(head["spacing"])
     grid = Grid(x0, y0, nx, ny, h)
     blocks = head["blocks"].split()
-    values = np.array([[float(v) for v in raw[i + j].split()] for j in range(ny)])
+    values = np.loadtxt(raw[i:i + ny], dtype=float, ndmin=2)
     i += ny
     mask = None
     if "mask" in blocks:
-        mask = np.array([[int(v) for v in raw[i + j].split()] for j in range(ny)],
-                        dtype=np.uint8)
+        mask = np.loadtxt(raw[i:i + ny], dtype=np.uint8, ndmin=2)
     return grid, values, mask
 
 

@@ -13,7 +13,9 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+
+# scipy.interpolate is imported inside the functions that use it: it takes
+# most of a second to load, and power laws never need it.
 
 from .errors import (InversionFailure, NonMonotone, NonzeroOrigin, OutOfRange,
                      Unbounded)
@@ -144,12 +146,14 @@ class OrliczFunction:
             else:
                 ts = self._dense_ts()
                 hs = self.h(ts)
+            from scipy.interpolate import PchipInterpolator
             interp = PchipInterpolator(ts, hs, extrapolate=False)
             self._F_spline = interp.antiderivative()
         return self._F_spline
 
     def _fstar_spline(self):
         if self._Fstar_spline is None:
+            from scipy.interpolate import PchipInterpolator
             h_top = float(self.h(np.array([self.t_max]))[0])
             ys = np.unique(np.concatenate([
                 [0.0], np.linspace(0.0, h_top, 8193),
@@ -206,6 +210,7 @@ def custom(h=None, table=None, t_max: float | None = None) -> OrliczFunction:
             raise NonMonotone("table abscissae must increase")
         if np.any(np.diff(hs) <= 0):
             raise NonMonotone("table values must increase strictly")
+        from scipy.interpolate import PchipInterpolator
         spline = PchipInterpolator(ts, hs, extrapolate=False)
         spline_d = spline.derivative()
         return OrliczFunction("custom", lambda t: spline(np.clip(t, 0, ts[-1])),

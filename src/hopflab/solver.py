@@ -27,8 +27,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+# scipy.sparse is imported inside the functions that use it, so commands that
+# solve nothing, such as `hopflab check`, do not pay for loading it.
 
 from .errors import DegenerateGradient, StagnationPoint
 from .geometry import ConvexRing, Grid, Mask
@@ -124,6 +125,7 @@ class _Assembly:
     """Triangle lists, the ghost closure, and energy/gradient/Hessian kernels."""
 
     def __init__(self, ring: ConvexRing):
+        import scipy.sparse as sp
         self.gap = ring.gap
         grid = ring.grid
         self.h = grid.h
@@ -192,6 +194,7 @@ class _Assembly:
         return grad
 
     def _hessian_full(self, v_full, of: OrliczFunction, delta: float):
+        import scipy.sparse as sp
         rows, cols, vals = [], [], []
         for tri, G in zip(self.tris, self.gmats):
             g = v_full[tri] @ G.T
@@ -267,6 +270,7 @@ def _lu(A):
     temporaries resident: the peak RSS of the 513 annulus solve then read
     342 or 444 MB depending on the input, instead of live data plus one
     factor (326 MB)."""
+    import scipy.sparse.linalg as spla
     _TRIM_HEAP(0)
     return spla.splu(A, permc_spec="NATURAL")
 

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +149,25 @@ def test_unknown_config_entry_exit_1(tmp_path, capsys, text, named):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    (ANNULUS_65.replace("resolution = 65", "resolution = 100.7"), "[grid] resolution"),
+    (ANNULUS_65 + "[solver]\nmax_iter = 2.9\n", "[solver] max_iter"),
+    (ANNULUS_65 + "[run]\nseed = 7.5\n", "[run] seed"),
+], ids=["resolution", "max_iter", "seed"])
+def test_fractional_count_exit_1(tmp_path, capsys, text, named):
+    cfg = write_config(tmp_path / "run.ini", text)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_whole_counts_parse(tmp_path):
+    cfg = parse_config(write_config(tmp_path / "run.ini", ANNULUS_65.replace(
+        "resolution = 65", "resolution = 257") + "[solver]\nmax_iter = 40.0\n"))
+    assert (cfg.resolution, cfg.max_iter) == (257, 40)
+    assert type(cfg.resolution) is int and type(cfg.max_iter) is int
+
+
 def test_readme_config_example_parses(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -222,3 +245,40 @@ def test_idempotent_rerun(tmp_path):
     main(["verify", "--config", cfg, "--out", str(out)])
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before == after
+
+
+# --- import budget: scipy loads only where a command uses it ------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _scipy_modules_after(code, *args):
+    """scipy modules in sys.modules of a fresh interpreter after it runs code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
+                    "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+_RUN_MAIN = "import sys\nfrom hopflab.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+def test_import_cli_loads_no_scipy():
+    assert _scipy_modules_after("import hopflab.cli") == []
+
+
+def test_check_power_law_loads_no_scipy(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65)
+    assert _scipy_modules_after(_RUN_MAIN, "check", "--config", cfg,
+                                "--out", str(tmp_path / "out")) == []
+
+
+def test_solve_annulus_loads_no_scipy_interpolate(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65)
+    loaded = _scipy_modules_after(_RUN_MAIN, "solve", "--config", cfg,
+                                  "--out", str(tmp_path / "out"))
+    assert "scipy.sparse.linalg" in loaded
+    assert [m for m in loaded if m.startswith("scipy.interpolate")] == []

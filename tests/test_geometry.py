@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,3 +262,46 @@ def test_grid_file_roundtrip(tmp_path):
     assert g2 == grid
     assert np.array_equal(v2, values)
     assert np.array_equal(m2, mask)
+
+
+def _write_grid_per_value(path, grid, values, mask):
+    """Reference writer: one repr(float(v)) / str(int(v)) per value."""
+    lines = ["gridfield 1", f"nx {grid.nx}", f"ny {grid.ny}",
+             f"origin {grid.x0!r} {grid.y0!r}", f"spacing {grid.h!r}", "blocks values mask"]
+    for row in np.asarray(values, dtype=float):
+        lines.append(" ".join(repr(float(v)) for v in row))
+    for row in np.asarray(mask):
+        lines.append(" ".join(str(int(v)) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_blocks_per_token(path, ny):
+    """Reference reader of the values and mask blocks: float()/int() per token."""
+    raw = Path(path).read_text().splitlines()[6:]
+    values = np.array([[float(v) for v in raw[j].split()] for j in range(ny)])
+    mask = np.array([[int(v) for v in raw[ny + j].split()] for j in range(ny)],
+                    dtype=np.uint8)
+    return values, mask
+
+
+@pytest.mark.parametrize("shape", [(9, 17), (1, 6), (5, 1)])
+def test_grid_file_same_bytes_and_bits_as_per_value_io(tmp_path, shape):
+    ny, nx = shape
+    grid = Grid(-1.0, -0.5, nx, ny, 0.125)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    specials = [-0.0, 5e-324, 2.2250738585072e-310, np.nan, np.inf, -np.inf, 1 / 3]
+    values.flat[:len(specials)] = specials[:values.size]
+    mask = rng.integers(0, 4, size=shape).astype(np.uint8)
+    ref, new = tmp_path / "ref.grid", tmp_path / "new.grid"
+    _write_grid_per_value(ref, grid, values, mask)
+    write_grid_file(new, grid, values, mask)
+    assert new.read_bytes() == ref.read_bytes()
+
+    v_ref, m_ref = _read_blocks_per_token(ref, ny)
+    g2, v2, m2 = read_grid_file(ref)
+    assert g2 == grid
+    assert v2.shape == v_ref.shape and v2.dtype == v_ref.dtype
+    assert np.array_equal(v2.view(np.uint64), v_ref.view(np.uint64))
+    assert np.array_equal(v2.view(np.uint64), values.view(np.uint64))
+    assert m2.dtype == np.uint8 and np.array_equal(m2, m_ref)
