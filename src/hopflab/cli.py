@@ -79,9 +79,7 @@ def parse_config(path, grid_override=None, p_override=None) -> RunConfig:
         cfg.ring_side = g.str("geometry", "ring", cfg.ring_side)
         cfg.resolution = g.count("grid", "resolution", cfg.resolution)
         cfg.extent = g.flt("grid", "extent", None)
-        sched = g.str("solver", "delta_schedule", None)
-        if sched:
-            cfg.delta_schedule = tuple(float(x) for x in sched.split())
+        cfg.delta_schedule = g.floats("solver", "delta_schedule", cfg.delta_schedule)
         cfg.tol = g.flt("solver", "tol", cfg.tol)
         cfg.max_iter = g.count("solver", "max_iter", cfg.max_iter)
         cfg.zeta_source = g.str("barrier", "zeta", cfg.zeta_source)
@@ -89,12 +87,8 @@ def parse_config(path, grid_override=None, p_override=None) -> RunConfig:
         cfg.target = g.str("barrier", "target", cfg.target)
         cfg.alpha = g.str("barrier", "alpha", cfg.alpha)
         cfg.beta = g.str("barrier", "beta", cfg.beta)
-        pt = g.str("hopf", "point", None)
-        if pt:
-            cfg.hopf_point = tuple(float(x) for x in pt.split())
-        rd = g.str("hopf", "radii", None)
-        if rd:
-            cfg.hopf_radii = tuple(float(x) for x in rd.split())
+        cfg.hopf_point = g.floats("hopf", "point", None)
+        cfg.hopf_radii = g.floats("hopf", "radii", None)
         cfg.seed = g.count("run", "seed", cfg.seed)
         g.reject_unread()
 
@@ -139,6 +133,16 @@ class _Getter:
                 raise ConfigError(f"[{sec}] {key}: {exc}") from exc
         return default
 
+    def floats(self, sec, key, default):
+        """Numbers separated by whitespace; an empty value means default."""
+        text = self.str(sec, key, None)
+        if not text:
+            return default
+        try:
+            return tuple(float(x) for x in text.split())
+        except ValueError as exc:
+            raise ConfigError(f"[{sec}] {key}: {exc}") from exc
+
     def count(self, sec, key, default):
         """A whole number: 257 and 257.0 parse, 100.7 is refused."""
         value = self.flt(sec, key, default)
@@ -163,8 +167,15 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"unknown modulus {cfg.modulus_kind!r}")
     if cfg.ring_side not in ("inner", "outer"):
         raise ConfigError(f"ring must be inner or outer, got {cfg.ring_side!r}")
-    if any(b >= a for a, b in zip(cfg.delta_schedule, cfg.delta_schedule[1:])):
-        raise ConfigError("delta schedule must decrease")
+    try:
+        _solve_options(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"[solver] {exc}") from exc
+    if cfg.hopf_point is not None and not (len(cfg.hopf_point) == 2
+                                           and np.all(np.isfinite(cfg.hopf_point))):
+        raise ConfigError(f"[hopf] point: need two finite numbers, got {cfg.hopf_point!r}")
+    if cfg.hopf_radii is not None and not all(r > 0 for r in cfg.hopf_radii):
+        raise ConfigError(f"[hopf] radii: need positive numbers, got {cfg.hopf_radii!r}")
 
 
 # --------------------------------------------------------------------------

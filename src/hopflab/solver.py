@@ -25,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,9 @@ from .orlicz import OrliczFunction, power
 _G_LOWER = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])   # slots (A, B, C)
 _G_UPPER = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])   # slots (A, C, D)
 _QUADRATIC = power(2.0)                                      # the Laplacian's law
-_LEAF = 64                # dissection boxes of at most this many nodes stay whole
+_LEAF = 24                # dissection boxes of at most this many nodes stay whole
+_SEARCH = 1000            # boxes above this many nodes look for their shortest line
+_BALANCE = 0.35           # least share of a box's nodes on each side of that line
 
 
 @dataclass
@@ -103,10 +106,16 @@ class SolveOptions:
 
     def __post_init__(self):
         sched = tuple(self.delta_schedule)
+        if not sched or not all(np.isfinite(sched)):
+            raise ValueError(f"delta_schedule {sched!r} is not a list of finite numbers")
         if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("delta schedule must decrease strictly")
+            raise ValueError(f"delta_schedule {sched!r} does not decrease strictly")
         if sched[-1] < 1e-8:
-            raise ValueError("final delta below 1e-8")
+            raise ValueError(f"delta_schedule ends at {sched[-1]!r}, below 1e-8")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol {self.tol!r} is not a positive number")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter {self.max_iter!r} is below 1")
 
 
 def flux_scale(q, of: OrliczFunction, gap: float) -> float:
@@ -122,14 +131,18 @@ def flux_scale(q, of: OrliczFunction, gap: float) -> float:
 # --------------------------------------------------------------------------
 
 class _Assembly:
-    """Triangle lists, the ghost closure, and energy/gradient/Hessian kernels."""
+    """Triangle lists, the ghost closure, and energy/gradient/Hessian kernels.
+
+    The unknown numbering and the Jacobian pattern are built on first use,
+    so an assembly that only evaluates residuals (`operator_residual`) pays
+    for neither. Nothing here refers back to the ring, which caches it."""
 
     def __init__(self, ring: ConvexRing):
-        import scipy.sparse as sp
         self.gap = ring.gap
         grid = ring.grid
         self.h = grid.h
         ny, nx = grid.ny, grid.nx
+        self.nx = nx
         self.n_nodes = ny * nx
         mask_flat = ring.mask.ravel()
         valid = mask_flat > 0
@@ -147,22 +160,32 @@ class _Assembly:
         self.gmats = (_G_LOWER / self.h, _G_UPPER / self.h)
         self.area = 0.5 * self.h * self.h
 
-        interior_ids = np.flatnonzero(interior)
-        rows_j, cols_i = np.divmod(interior_ids, nx)
-        self.interior_ids = interior_ids[_dissection_order(cols_i, rows_j)]
-        self.n_unknown = len(self.interior_ids)
-        unk_of = np.full(self.n_nodes, -1, dtype=np.int64)
-        unk_of[self.interior_ids] = np.arange(self.n_unknown)
-
+        self._interior = interior
+        self.n_unknown = int(np.count_nonzero(interior))
         gh = ring.ghosts
-        rows = np.concatenate([self.interior_ids, gh.index])
-        cols = np.concatenate([np.arange(self.n_unknown), unk_of[gh.partner]])
-        vals = np.concatenate([np.ones(self.n_unknown), 1.0 - 1.0 / gh.theta])
-        self.P = sp.csr_matrix((vals, (rows, cols)),
-                               shape=(self.n_nodes, self.n_unknown))
         self._ghost_index = gh.index
+        self._ghost_partner = gh.partner
         self._ghost_side = gh.side
         self._ghost_theta = gh.theta
+        self._ghost_weight = 1.0 - 1.0 / gh.theta   # d ghost value / d partner value
+
+    @cached_property
+    def interior_ids(self):
+        """Interior node indices in unknown order (nested dissection)."""
+        ids = np.flatnonzero(self._interior)
+        rows_j, cols_i = np.divmod(ids, self.nx)
+        return ids[_dissection_order(cols_i, rows_j)]
+
+    @cached_property
+    def _ghost_column(self):
+        """Unknown index of each ghost's partner."""
+        return self._unknown_of()[self._ghost_partner]
+
+    def _unknown_of(self):
+        """Unknown index of every node; -1 off the interior."""
+        unk = np.full(self.n_nodes, -1, dtype=np.int64)
+        unk[self.interior_ids] = np.arange(self.n_unknown)
+        return unk
 
     def closure_offset(self, inner_value: float, outer_value: float):
         q0 = np.zeros(self.n_nodes)
@@ -172,7 +195,11 @@ class _Assembly:
         return q0
 
     def full_values(self, u: np.ndarray, q0: np.ndarray):
-        return self.P @ u + q0
+        """Node values: u on the interior, the ghost closure on ghosts."""
+        v = q0.copy()
+        v[self.interior_ids] += u
+        v[self._ghost_index] += self._ghost_weight * u[self._ghost_column]
+        return v
 
     def energy(self, v_full, of: OrliczFunction, delta: float) -> float:
         total = 0.0
@@ -193,27 +220,31 @@ class _Assembly:
             np.add.at(grad, tri.ravel(), contrib.ravel())
         return grad
 
-    def _hessian_full(self, v_full, of: OrliczFunction, delta: float):
-        import scipy.sparse as sp
-        rows, cols, vals = [], [], []
-        for tri, G in zip(self.tris, self.gmats):
-            g = v_full[tri] @ G.T
-            q = np.sqrt(g[:, 0] ** 2 + g[:, 1] ** 2 + delta * delta)
+    def _stencil(self, v_full, of: OrliczFunction, delta: float):
+        """The node Hessian of the energy in stencil form, flattened: entry
+        k * n_nodes + m is node m's coupling k of _COUPLINGS (self, E, N,
+        NE), and one last entry is zero. A W, S or SW coupling is the E, N
+        or NE coupling of that neighbour, since the Hessian is symmetric."""
+        S = np.zeros(len(_COUPLINGS) * self.n_nodes + 1)
+        rows = S[:-1].reshape(len(_COUPLINGS), self.n_nodes)
+        for tri, G, pairs in zip(self.tris, self.gmats, _TRIANGLE_PAIRS):
+            nodes = tri.T                   # (3, n): slot-major
+            g = G @ v_full[nodes]           # (2, n)
+            q = np.sqrt(g[0] ** 2 + g[1] ** 2 + delta * delta)
             qs = np.minimum(np.maximum(q, 1e-30), of.t_max)
             hv = of.h(qs)
             hp = of.h_prime(qs)
-            Hq = hv / qs
-            Dq = (hp * qs - hv) / qs ** 3
-            a = g @ G                       # (n, 3): per-slot directional terms
+            aHq = self.area * (hv / qs)
+            aDq = self.area * ((hp * qs - hv) / qs ** 3)
+            a = G.T @ g                     # (3, n): per-slot directional terms
             base = G.T @ G                  # (3, 3)
-            e = (self.area * Hq)[:, None, None] * base[None, :, :] \
-                + (self.area * Dq)[:, None, None] * a[:, None, :] * a[:, :, None]
-            rows.append(np.repeat(tri, 3, axis=1).ravel())
-            cols.append(np.tile(tri, (1, 3)).ravel())
-            vals.append(e.ravel())
-        return sp.coo_matrix((np.concatenate(vals),
-                              (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(self.n_nodes, self.n_nodes)).tocsr()
+            for k, s, t in pairs:
+                np.add.at(rows[k], nodes[s], aHq * base[s, t] + aDq * a[t] * a[s])
+        return S
+
+    @cached_property
+    def _pattern(self):
+        return _JacobianPattern.build(self)
 
     def residual_rows(self, v_full, of, delta):
         """Stationarity rows at interior nodes (ghosts already substituted)."""
@@ -226,8 +257,76 @@ class _Assembly:
         return flux_scale(q, of, self.gap)
 
     def jacobian_rows(self, v_full, of, delta):
-        H_full = self._hessian_full(v_full, of, delta)
-        return (H_full[self.interior_ids, :] @ self.P).tocsc()
+        """d residual_rows / d u as a CSC matrix in unknown order, exact
+        zeros dropped."""
+        import scipy.sparse as sp
+        pat = self._pattern
+        S = self._stencil(v_full, of, delta)
+        data = S[pat.source]
+        np.add.at(data, pat.ghost_slot, S[pat.ghost_source] * pat.ghost_weight)
+        indices, indptr = pat.indices, pat.indptr
+        keep = data != 0.0
+        if not keep.all():
+            kept = np.zeros(len(keep) + 1, dtype=np.int32)
+            np.cumsum(keep, out=kept[1:])
+            data, indices, indptr = data[keep], indices[keep], kept[indptr]
+        return sp.csc_matrix((data, indices, indptr),
+                             shape=(self.n_unknown, self.n_unknown))
+
+
+# the couplings stored per node, self, E, N and NE, as (row, column) steps
+_COUPLINGS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# per triangle list, (coupling, row slot, column slot): lower (A, B, C),
+# upper (A, C, D), with B = A + E, C = A + NE, D = A + N
+_TRIANGLE_PAIRS = (((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1), (2, 1, 2), (3, 0, 2)),
+                   ((0, 0, 0), (0, 1, 1), (0, 2, 2), (3, 0, 1), (2, 0, 2), (1, 2, 1)))
+
+
+@dataclass(frozen=True)
+class _JacobianPattern:
+    """Fixed CSC pattern of the reduced Jacobian of one ring.
+
+    Slot s holds stencil entry source[s] (the zero slot where a coupling
+    reaches the column only through the ghost closure). Each ghost entry
+    adds stencil entry ghost_source times ghost_weight, the closure's
+    1 - 1/theta, into ghost_slot: the row's coupling to a ghost moves to
+    the ghost's partner column."""
+    indices: np.ndarray         # int32 row of each slot
+    indptr: np.ndarray          # int32 column starts
+    source: np.ndarray          # int32 index into _Assembly._stencil
+    ghost_slot: np.ndarray
+    ghost_source: np.ndarray
+    ghost_weight: np.ndarray
+
+    @classmethod
+    def build(cls, asm: _Assembly) -> _JacobianPattern:
+        n, n_unknown, ids = asm.n_nodes, asm.n_unknown, asm.interior_ids
+        unknown = asm._unknown_of()
+        ghost_of = np.full(n, -1, dtype=np.int64)
+        ghost_of[asm._ghost_index] = np.arange(len(asm._ghost_index))
+        rows, cols, srcs, ghosts = [], [], [], []
+        for k, (dj, di) in enumerate(_COUPLINGS):
+            step = dj * asm.nx + di
+            for nb in (ids + step, ids - step) if step else (ids,):
+                r = np.flatnonzero((nb >= 0) & (nb < n))
+                nb = nb[r]
+                g = ghost_of[nb]
+                col = np.where(g >= 0, asm._ghost_column[g], unknown[nb])
+                keep = col >= 0
+                rows.append(r[keep])
+                cols.append(col[keep])
+                srcs.append(k * n + np.minimum(ids[r], nb)[keep])
+                ghosts.append(g[keep])
+        rows, cols, srcs, ghosts = map(np.concatenate, (rows, cols, srcs, ghosts))
+        keys, slot = np.unique(cols * n_unknown + rows, return_inverse=True)
+        direct = ghosts < 0
+        source = np.full(len(keys), len(_COUPLINGS) * n, dtype=np.int32)
+        source[slot[direct]] = srcs[direct]
+        indptr = np.zeros(n_unknown + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n_unknown, minlength=n_unknown), out=indptr[1:])
+        return cls((keys % n_unknown).astype(np.int32), indptr, source,
+                   slot[~direct].astype(np.int32), srcs[~direct].astype(np.int32),
+                   asm._ghost_weight[ghosts[~direct]])
 
 
 def _dissection_order(i, j):
@@ -235,19 +334,43 @@ def _dissection_order(i, j):
     (A. George, "Nested dissection of a regular finite element mesh",
     SIAM J. Numer. Anal. 10, 1973): indices into i and j.
 
-    The box of the nodes is split at the middle grid line of its longer
-    side; both halves are numbered first, recursively, and the line last.
-    One line separates because the criss-cross stencil couples a node only
-    to its E, W, N, S and SW-NE diagonal neighbours. Boxes of at most
-    _LEAF nodes keep the given order."""
+    Each box of nodes is split at one grid line; both sides are numbered
+    first, recursively, and the line last. One line separates because the
+    criss-cross stencil couples a node only to its E, W, N, S and SW-NE
+    diagonal neighbours. Boxes above _SEARCH nodes split at their shortest
+    line, along either axis, that leaves at least _BALANCE of the nodes on
+    each side; smaller boxes, or boxes with no such line, at the middle line
+    of their longer side. Boxes of at most _LEAF nodes keep the given order."""
     def split(idx):
         if len(idx) <= _LEAF:
             return [idx]
-        ci, cj = i[idx], j[idx]
-        i0, i1, j0, j1 = ci.min(), ci.max(), cj.min(), cj.max()
-        coord, mid = (ci, (i0 + i1) // 2) if i1 - i0 >= j1 - j0 else (cj, (j0 + j1) // 2)
-        return split(idx[coord < mid]) + split(idx[coord > mid]) + [idx[coord == mid]]
+        coord, line = _separator(i[idx], j[idx])
+        return split(idx[coord < line]) + split(idx[coord > line]) + [idx[coord == line]]
     return np.concatenate(split(np.arange(len(i))))
+
+
+def _separator(ci, cj):
+    """(coordinates, value) of the grid line that splits the nodes at
+    columns ci, rows cj (see _dissection_order)."""
+    n = len(ci)
+    best = None
+    if n > _SEARCH:
+        for coord in (ci, cj):
+            lo = coord.min()
+            count = np.bincount(coord - lo)
+            before = np.cumsum(count) - count
+            after = n - before - count
+            ok = np.flatnonzero((before >= _BALANCE * n) & (after >= _BALANCE * n))
+            if ok.size:
+                # the shortest line; among those, the most balanced
+                skew = np.abs(before - after)
+                k = ok[np.lexsort((skew[ok], count[ok]))[0]]
+                if best is None or (count[k], skew[k]) < best[0]:
+                    best = ((count[k], skew[k]), coord, lo + k)
+    if best is not None:
+        return best[1], best[2]
+    i0, i1, j0, j1 = ci.min(), ci.max(), cj.min(), cj.max()
+    return (ci, (i0 + i1) // 2) if i1 - i0 >= j1 - j0 else (cj, (j0 + j1) // 2)
 
 
 def _heap_trim():

@@ -161,6 +161,28 @@ def test_fractional_count_exit_1(tmp_path, capsys, text, named):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    (ANNULUS_65 + "[solver]\ndelta_schedule = 1e-1 1e-9\n", "[solver] delta_schedule"),
+    (ANNULUS_65 + "[solver]\ndelta_schedule = 1e-1 1e-2 x\n", "[solver] delta_schedule"),
+    (ANNULUS_65 + "[solver]\ndelta_schedule = 1e-2 1e-1\n", "[solver] delta_schedule"),
+    (ANNULUS_65 + "[solver]\ndelta_schedule = 1e-1 nan\n", "[solver] delta_schedule"),
+    (ANNULUS_65 + "[solver]\ntol = -1\n", "[solver] tol"),
+    (ANNULUS_65 + "[solver]\nmax_iter = 0\n", "[solver] max_iter"),
+    (ANNULUS_65.replace("point = 2.0 0.0", "point = 2.0 zero"), "[hopf] point"),
+    (ANNULUS_65.replace("radii = 0.4 0.25", "radii = 0.4 0,25"), "[hopf] radii"),
+    (ANNULUS_65.replace("point = 2.0 0.0", "point = 2.0"), "[hopf] point"),
+    (ANNULUS_65.replace("radii = 0.4 0.25", "radii = 0.4 -0.25"), "[hopf] radii"),
+], ids=["delta_below_1e-8", "delta_token", "delta_increasing", "delta_nan",
+        "tol", "max_iter", "point_token", "radii_token", "point_one_number",
+        "radii_negative"])
+def test_bad_value_exit_1_before_any_work(tmp_path, capsys, text, named):
+    cfg = write_config(tmp_path / "run.ini", text)
+    for command in ("check", "solve"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_whole_counts_parse(tmp_path):
     cfg = parse_config(write_config(tmp_path / "run.ini", ANNULUS_65.replace(
         "resolution = 65", "resolution = 257") + "[solver]\nmax_iter = 40.0\n"))

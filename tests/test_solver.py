@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import radial_potential
-from hopflab import (Mask, ScalarField, SolveOptions, gradient_bounds,
+from hopflab import (Mask, ScalarField, SolveOptions, custom, gradient_bounds,
                      level_diagnostics, make_annulus, operator_residual, power,
                      solve_h_potential, solve_harmonic, solver, trace_flow_line)
 from hopflab.geometry import convexity_midpoint_check
@@ -318,13 +318,23 @@ def test_dissection_order_numbers_separator_last(name, request):
     ids = np.flatnonzero(ring.interior())
     j, i = np.divmod(ids, ring.grid.nx)
     order = _dissection_order(i, j)
-    assert np.array_equal(np.sort(order), np.arange(ids.size))
+    n = ids.size
+    assert np.array_equal(np.sort(order), np.arange(n))
     assert np.array_equal(solver._assembly(ring).interior_ids, ids[order])
-    # top level: the middle grid line of the longer side of the nodes' box
-    coord = i if np.ptp(i) >= np.ptp(j) else j
-    mid = (coord.min() + coord.max()) // 2
-    position = np.empty(ids.size, dtype=int)
-    position[order] = np.arange(ids.size)
+    # top level: the shortest grid line, along either axis, with at least
+    # 35 % of the nodes on each side
+    lines = [(np.count_nonzero(coord == c), axis, c)
+             for axis, coord in enumerate((i, j)) for c in np.unique(coord)
+             if min(np.count_nonzero(coord < c), np.count_nonzero(coord > c)) >= 0.35 * n]
+    shortest = min(lines)[0]
+    last = np.zeros(n, dtype=bool)
+    last[order[n - shortest:]] = True
+    found = [(axis, c) for size, axis, c in lines
+             if size == shortest and np.array_equal((i, j)[axis] == c, last)]
+    assert len(found) == 1
+    coord, mid = (i, j)[found[0][0]], found[0][1]
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
     line = coord == mid
     assert (coord < mid).any() and (coord > mid).any()
     assert position[line].min() > position[~line].max()
@@ -335,10 +345,125 @@ def test_dissection_order_numbers_separator_last(name, request):
     assert not np.any(side[A.row] * side[A.col] < 0)
 
 
+@pytest.mark.parametrize("name, limit", [("annulus257", 2.3e6), ("cap_inner257", 1.8e6),
+                                         ("cap_outer257", 2.9e6)])
+def test_dissection_fill_bounded(name, limit, request):
+    lu = solver._lu(_laplace_jacobian(_ring(name, request)))
+    assert lu.L.nnz + lu.U.nnz <= limit
+
+
 def test_dissection_factor_sparser_than_colamd(annulus257):
     A = _laplace_jacobian(annulus257)
     fill = [lu.L.nnz + lu.U.nnz for lu in (solver._lu(A), spla.splu(A))]
     assert fill[0] < fill[1]
+
+
+# --- the Newton Jacobian -------------------------------------------------------
+
+def _coo_spgemm_jacobian(asm, v_full, of, delta):
+    """Reference assembly: the full node Hessian as per-triangle COO entries,
+    reduced to the unknowns by the ghost-closure matrix P (one unit entry per
+    interior node, 1 - 1/theta from each ghost to its partner) as H[int, :] @ P."""
+    import scipy.sparse as sp
+    rows, cols, vals = [], [], []
+    for tri, G in zip(asm.tris, asm.gmats):
+        g = v_full[tri] @ G.T
+        q = np.sqrt(g[:, 0] ** 2 + g[:, 1] ** 2 + delta * delta)
+        qs = np.minimum(np.maximum(q, 1e-30), of.t_max)
+        hv = of.h(qs)
+        hp = of.h_prime(qs)
+        Hq = hv / qs
+        Dq = (hp * qs - hv) / qs ** 3
+        a = g @ G
+        base = G.T @ G
+        e = (asm.area * Hq)[:, None, None] * base[None, :, :] \
+            + (asm.area * Dq)[:, None, None] * a[:, None, :] * a[:, :, None]
+        rows.append(np.repeat(tri, 3, axis=1).ravel())
+        cols.append(np.tile(tri, (1, 3)).ravel())
+        vals.append(e.ravel())
+    H = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(asm.n_nodes, asm.n_nodes)).tocsr()
+    unknown = np.full(asm.n_nodes, -1)
+    unknown[asm.interior_ids] = np.arange(asm.n_unknown)
+    gh_rows = np.concatenate([asm.interior_ids, asm._ghost_index])
+    gh_cols = np.concatenate([np.arange(asm.n_unknown), unknown[asm._ghost_partner]])
+    gh_vals = np.concatenate([np.ones(asm.n_unknown), 1.0 - 1.0 / asm._ghost_theta])
+    P = sp.csr_matrix((gh_vals, (gh_rows, gh_cols)), shape=(asm.n_nodes, asm.n_unknown))
+    return (H[asm.interior_ids, :] @ P).tocsc()
+
+
+def _tabulated_law():
+    ts = np.linspace(0.01, 20.0, 400)
+    return custom(table=(ts, ts ** 1.5 + 0.5 * ts))
+
+
+_LAWS = {"quadratic": (lambda: power(2.0), 0.0), "p1.5": (lambda: power(1.5), 1e-3),
+         "p3": (lambda: power(3.0), 1e-2), "tabulated": (_tabulated_law, 1e-3)}
+
+
+def _jacobian_case(ring, law):
+    """An assembly, a perturbed iterate u with its node values, and a law."""
+    asm = solver._assembly(ring)
+    of, delta = _LAWS[law][0](), _LAWS[law][1]
+    q0 = asm.closure_offset(1.0, 0.0)
+    u = solver._harmonic_unknowns(ring, 1.0, 0.0)
+    u = u + 0.01 * np.random.default_rng(7).standard_normal(u.size)
+    return asm, q0, u, asm.full_values(u, q0), of, delta
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("name", ["annulus129", "cap_inner257", "cap_outer257"])
+def test_jacobian_matches_coo_spgemm_reference(name, law, request):
+    ring = (request.getfixturevalue(name) if name == "annulus129"
+            else _ring(name, request))
+    asm, _, _, v, of, delta = _jacobian_case(ring, law)
+    got = asm.jacobian_rows(v, of, delta)
+    want = _coo_spgemm_jacobian(asm, v, of, delta)
+    want.sort_indices()
+    assert got.has_sorted_indices
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    scale = np.max(np.abs(want.data))
+    assert np.max(np.abs(got.data - want.data)) <= 1e-13 * scale
+    # exact zeros are dropped: the Laplacian stays 5-point
+    assert np.all(got.data != 0)
+    if law == "quadratic":
+        assert got.nnz <= 5 * asm.n_unknown
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+def test_jacobian_is_the_derivative_of_the_residual(annulus129, law):
+    asm, q0, u, v, of, delta = _jacobian_case(annulus129, law)
+    d = np.random.default_rng(3).standard_normal(u.size)
+    eps = 1e-6
+    plus = asm.residual_rows(asm.full_values(u + eps * d, q0), of, delta)
+    minus = asm.residual_rows(asm.full_values(u - eps * d, q0), of, delta)
+    fd = (plus - minus) / (2 * eps)
+    Jd = asm.jacobian_rows(v, of, delta) @ d
+    assert np.max(np.abs(Jd - fd)) <= 1e-6 * np.max(np.abs(Jd))
+
+
+def test_jacobian_pattern_built_once_per_ring_and_lean(monkeypatch):
+    ring = make_annulus(1.0, 2.0, resolution=65)
+    builds = []
+    build = solver._JacobianPattern.build
+    monkeypatch.setattr(solver._JacobianPattern, "build",
+                        classmethod(lambda cls, asm: builds.append(1) or build(asm)))
+    u = solve_h_potential(ring, power(3.0))
+    assert u.meta["converged"] and len(builds) == 1
+    solve_harmonic(ring)
+    assert len(builds) == 1
+    pat = solver._assembly(ring)._pattern
+    nbytes = sum(getattr(pat, f.name).nbytes for f in dataclasses.fields(pat))
+    assert nbytes <= 10 * pat.indices.size
+
+
+def test_residual_only_assembly_builds_no_numbering(annulus129):
+    # operator_residual needs neither the unknown numbering nor the pattern
+    ring = dataclasses.replace(annulus129, _cache={})
+    w = solve_harmonic(annulus129)
+    operator_residual(dataclasses.replace(w, ring=ring), power(3.0))
+    assert not {"interior_ids", "_pattern"} & set(vars(solver._assembly(ring)))
 
 
 def _reference_solve(ring, solve):
