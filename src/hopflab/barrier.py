@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-
-# scipy.interpolate is imported inside the functions that use it: it takes
-# most of a second to load, and `hopflab check` with a power law never needs it.
 
 from .errors import (InversionOverflow, NotIntegrable, OutOfRange,
                      TargetUnreachable, VanishingGradient)
 from .geometry import DiniModulus, dini_report
 from .orlicz import OrliczFunction
+from .pchip import Pchip
 from .quadrature import gauss_segment, integral_to_zero
 from .solver import (ScalarField, LevelDiagnostics, flux_scale, level_diagnostics,
                      operator_residual)
@@ -115,8 +114,7 @@ def zeta_from_modulus(eps: DiniModulus, c: float, C: float, C_D: float) -> ZetaP
     ts = np.geomspace(t_lo, t_hi, 800)
     seg = np.array([gauss_segment(phi, a, b) for a, b in zip(ts[:-1], ts[1:])])
     D = base + np.concatenate([[0.0], np.cumsum(seg)])
-    from scipy.interpolate import PchipInterpolator
-    D_of = PchipInterpolator(np.log(ts), D)
+    D_of = Pchip(np.log(ts), D)
     scale = C_D / c ** 4
     l1 = 2.0 * scale * float(D[-1])
 
@@ -185,18 +183,24 @@ class BarrierProfile:
     f1: float
     params: dict = field(default_factory=dict)
 
+    @cached_property
+    def _f_of(self):
+        return Pchip(self.knots, self.f)
+
+    @cached_property
+    def _fp_of(self):
+        return Pchip(self.knots, self.f_prime)
+
     def eval_f(self, w):
-        from scipy.interpolate import PchipInterpolator
         w = np.asarray(w, dtype=float)
-        inside = PchipInterpolator(self.knots, self.f)(np.clip(w, 0.0, 1.0))
+        inside = self._f_of(np.clip(w, 0.0, 1.0))
         below = self.m * w
         above = self.f1 + self.f_prime[-1] * (w - 1.0)
         return np.where(w < 0.0, below, np.where(w > 1.0, above, inside))
 
     def eval_fp(self, w):
-        from scipy.interpolate import PchipInterpolator
         w = np.asarray(w, dtype=float)
-        inside = PchipInterpolator(self.knots, self.f_prime)(np.clip(w, 0.0, 1.0))
+        inside = self._fp_of(np.clip(w, 0.0, 1.0))
         return np.where(w < 0.0, self.m, np.where(w > 1.0, self.f_prime[-1], inside))
 
     def eval_fpp(self, w):

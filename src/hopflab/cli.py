@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -176,6 +177,23 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"[hopf] point: need two finite numbers, got {cfg.hopf_point!r}")
     if cfg.hopf_radii is not None and not all(r > 0 for r in cfg.hopf_radii):
         raise ConfigError(f"[hopf] radii: need positive numbers, got {cfg.hopf_radii!r}")
+    if cfg.zeta_source not in ("field", "modulus"):
+        raise ConfigError(f"[barrier] zeta: need field or modulus, got {cfg.zeta_source!r}")
+    for key, word in (("alpha", "auto"), ("beta", "auto"), ("target", "min_inner_u")):
+        text = getattr(cfg, key)
+        if text != word and not _positive_number(text):
+            raise ConfigError(f"[barrier] {key}: need {word} or a positive finite "
+                              f"number, got {text!r}")
+    if not _positive_number(cfg.c_d):
+        raise ConfigError(f"[barrier] c_d: need a positive finite number, got {cfg.c_d!r}")
+
+
+def _positive_number(text) -> bool:
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and value > 0
 
 
 # --------------------------------------------------------------------------

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# scipy.interpolate is imported inside the functions that use it: it takes
-# most of a second to load, and power laws never need it.
-
 from .errors import (InversionFailure, NonMonotone, NonzeroOrigin, OutOfRange,
                      Unbounded)
+from .pchip import Pchip
 from .quadrature import adaptive_simpson
 
 QUAD_TOL = 1e-10          # absolute tolerance for F, F* quadrature
@@ -146,20 +144,17 @@ class OrliczFunction:
             else:
                 ts = self._dense_ts()
                 hs = self.h(ts)
-            from scipy.interpolate import PchipInterpolator
-            interp = PchipInterpolator(ts, hs, extrapolate=False)
-            self._F_spline = interp.antiderivative()
+            self._F_spline = Pchip(ts, hs, extrapolate=False).antiderivative()
         return self._F_spline
 
     def _fstar_spline(self):
         if self._Fstar_spline is None:
-            from scipy.interpolate import PchipInterpolator
             h_top = float(self.h(np.array([self.t_max]))[0])
             ys = np.unique(np.concatenate([
                 [0.0], np.linspace(0.0, h_top, 8193),
                 np.geomspace(h_top * 1e-10, h_top, 2049)]))
             gs = self._invert(ys)
-            self._Fstar_spline = PchipInterpolator(ys, gs).antiderivative()
+            self._Fstar_spline = Pchip(ys, gs).antiderivative()
         return self._Fstar_spline
 
     # -- serialization -------------------------------------------------------
@@ -210,8 +205,7 @@ def custom(h=None, table=None, t_max: float | None = None) -> OrliczFunction:
             raise NonMonotone("table abscissae must increase")
         if np.any(np.diff(hs) <= 0):
             raise NonMonotone("table values must increase strictly")
-        from scipy.interpolate import PchipInterpolator
-        spline = PchipInterpolator(ts, hs, extrapolate=False)
+        spline = Pchip(ts, hs, extrapolate=False)
         spline_d = spline.derivative()
         return OrliczFunction("custom", lambda t: spline(np.clip(t, 0, ts[-1])),
                               t_max or ts[-1], h_prime_fn=lambda t: spline_d(np.clip(t, 0, ts[-1])),

@@ -172,15 +172,41 @@ def test_fractional_count_exit_1(tmp_path, capsys, text, named):
     (ANNULUS_65.replace("radii = 0.4 0.25", "radii = 0.4 0,25"), "[hopf] radii"),
     (ANNULUS_65.replace("point = 2.0 0.0", "point = 2.0"), "[hopf] point"),
     (ANNULUS_65.replace("radii = 0.4 0.25", "radii = 0.4 -0.25"), "[hopf] radii"),
+    (ANNULUS_65 + "[barrier]\nalpha = abc\n", "[barrier] alpha"),
+    (ANNULUS_65 + "[barrier]\nalpha = 0\n", "[barrier] alpha"),
+    (ANNULUS_65 + "[barrier]\nbeta = -1\n", "[barrier] beta"),
+    (ANNULUS_65 + "[barrier]\nbeta = inf\n", "[barrier] beta"),
+    (ANNULUS_65 + "[barrier]\ntarget = xyz\n", "[barrier] target"),
+    (ANNULUS_65 + "[barrier]\ntarget = nan\n", "[barrier] target"),
+    (ANNULUS_65 + "[barrier]\nzeta = feild\n", "[barrier] zeta"),
+    (ANNULUS_65 + "[barrier]\nc_d = 0\n", "[barrier] c_d"),
+    (ANNULUS_65 + "[barrier]\nc_d = -2\n", "[barrier] c_d"),
 ], ids=["delta_below_1e-8", "delta_token", "delta_increasing", "delta_nan",
         "tol", "max_iter", "point_token", "radii_token", "point_one_number",
-        "radii_negative"])
+        "radii_negative", "alpha_token", "alpha_zero", "beta_negative", "beta_inf",
+        "target_token", "target_nan", "zeta_typo", "c_d_zero", "c_d_negative"])
 def test_bad_value_exit_1_before_any_work(tmp_path, capsys, text, named):
     cfg = write_config(tmp_path / "run.ini", text)
     for command in ("check", "solve"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+BAD_BARRIER = {"alpha": "abc", "beta": "-1", "target": "xyz", "zeta": "feild",
+               "c_d": "0"}
+
+
+def test_verify_refuses_bad_barrier_value_before_any_work(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path / "run.ini", ANNULUS_65),
+                 "--out", str(out)]) == 0
+    solved = {p.name: p.read_bytes() for p in out.iterdir()}
+    for key, value in BAD_BARRIER.items():
+        cfg = write_config(tmp_path / "bad.ini", f"{ANNULUS_65}[barrier]\n{key} = {value}\n")
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert f"[barrier] {key}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == solved
 
 
 def test_whole_counts_parse(tmp_path):
@@ -303,4 +329,39 @@ def test_solve_annulus_loads_no_scipy_interpolate(tmp_path):
     loaded = _scipy_modules_after(_RUN_MAIN, "solve", "--config", cfg,
                                   "--out", str(tmp_path / "out"))
     assert "scipy.sparse.linalg" in loaded
+    assert [m for m in loaded if m.startswith("scipy.interpolate")] == []
+
+
+def _custom_law_config(tmp_path):
+    """ANNULUS_65 with a tabulated flow law h(t) = t (2 + t / (1 + t))."""
+    ts = np.geomspace(1e-3, 100.0, 200)
+    hs = ts * (2 + ts / (1 + ts))
+    table = tmp_path / "law.csv"
+    table.write_text("t,h\n" + "".join(f"{t!r},{h!r}\n" for t, h in zip(ts.tolist(),
+                                                                      hs.tolist())))
+    return write_config(tmp_path / "run.ini", ANNULUS_65.replace(
+        "kind = power\np = 3.0", f"kind = custom\ntable = {table}"))
+
+
+def test_verify_annulus_loads_no_scipy_interpolate(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    loaded = _scipy_modules_after(_RUN_MAIN, "verify", "--config", cfg, "--out", out)
+    assert "scipy.sparse" in loaded
+    assert [m for m in loaded if m.startswith("scipy.interpolate")] == []
+
+
+def test_check_custom_law_loads_no_scipy(tmp_path):
+    cfg = _custom_law_config(tmp_path)
+    assert _scipy_modules_after(_RUN_MAIN, "check", "--config", cfg,
+                                "--out", str(tmp_path / "out")) == []
+
+
+def test_verify_custom_law_loads_no_scipy_interpolate(tmp_path):
+    cfg = _custom_law_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    loaded = _scipy_modules_after(_RUN_MAIN, "verify", "--config", cfg, "--out", out)
+    assert "scipy.sparse" in loaded
     assert [m for m in loaded if m.startswith("scipy.interpolate")] == []
