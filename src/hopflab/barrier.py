@@ -24,9 +24,13 @@ from .errors import (InversionOverflow, NotIntegrable, OutOfRange,
 from .geometry import DiniModulus, dini_report
 from .orlicz import OrliczFunction
 from .pchip import Pchip
-from .quadrature import gauss_segment, integral_to_zero
+from .quadrature import cumulative_trapezoid, gauss_segment, integral_to_zero
 from .solver import (ScalarField, LevelDiagnostics, flux_scale, level_diagnostics,
                      operator_residual)
+
+ZETA_BINS = 64            # level bins of the empirical majorant
+TUNE_REL_TOL = 1e-6       # tune_m accepts f(1) in [target * (1 - this), target]
+MARGIN_FACTOR = 1e-3      # certificate tolerances, relative to their scale
 
 
 @dataclass
@@ -60,11 +64,10 @@ class ZetaProfile:
         w = np.asarray(w, dtype=float)
         if self.kind == "field":
             ev = self._edge_values()
-            seg = 0.5 * (ev[1:] + ev[:-1]) * np.diff(self.knots)
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
+            cum = cumulative_trapezoid(ev, self.knots)
             wc = np.clip(w, 0.0, 1.0)
             idx = np.clip(np.searchsorted(self.knots, wc, side="right") - 1,
-                          0, len(seg) - 1)
+                          0, len(self.knots) - 2)
             t = wc - self.knots[idx]
             left = ev[idx]
             slope = (ev[idx + 1] - ev[idx]) / np.diff(self.knots)[idx]
@@ -131,9 +134,9 @@ def zeta_from_modulus(eps: DiniModulus, c: float, C: float, C_D: float) -> ZetaP
                        _cum_fn=cum)
 
 
-def zeta_from_field(w: ScalarField, n_bins: int = 64,
-                    diag: LevelDiagnostics | None = None) -> ZetaProfile:
-    """Empirical majorant: per-level-bin maximum of |grad w|^-5 |inf_lap w|.
+def zeta_from_field(w: ScalarField, diag: LevelDiagnostics | None = None) -> ZetaProfile:
+    """Empirical majorant: per-level-bin maximum of |grad w|^-5 |inf_lap w|
+    over ZETA_BINS equal bins of [0, 1].
 
     Cells closer than two cells to a boundary are excluded; bins without
     cells are filled by a monotone envelope extension from the last resolved
@@ -148,9 +151,9 @@ def zeta_from_field(w: ScalarField, n_bins: int = 64,
     wv = np.clip(w.values[cells], 0.0, 1.0)
     y = np.abs(diag.inf_lap[cells]) / diag.grad_norm[cells] ** 5
 
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    idx = np.clip(np.searchsorted(edges, wv, side="right") - 1, 0, n_bins - 1)
-    vals = np.full(n_bins, -1.0)
+    edges = np.linspace(0.0, 1.0, ZETA_BINS + 1)
+    idx = np.clip(np.searchsorted(edges, wv, side="right") - 1, 0, ZETA_BINS - 1)
+    vals = np.full(ZETA_BINS, -1.0)
     np.maximum.at(vals, idx, y)
     resolved = np.flatnonzero(vals >= 0)
     lo, hi = resolved[0], resolved[-1]
@@ -162,7 +165,7 @@ def zeta_from_field(w: ScalarField, n_bins: int = 64,
     vals[:lo] = vals[lo]
     vals[hi + 1:] = vals[hi]
     prof = ZetaProfile("field", edges, vals, 0.0,
-                       {"n_bins": n_bins, "n_cells": int(cells.sum())})
+                       {"n_bins": ZETA_BINS, "n_cells": int(cells.sum())})
     prof.l1_mass = float(prof.integral(1.0))
     return prof
 
@@ -244,15 +247,13 @@ def build_barrier(of: OrliczFunction, zeta: ZetaProfile, m: float,
             arg = h_bm * np.exp((beta / alpha) * I)
         except FloatingPointError:
             raise InversionOverflow("exp of the zeta mass overflows") from None
-    h_top = float(of.h(np.array([of.t_max]))[0]) if of.kind == "custom" else np.inf
-    if not np.all(np.isfinite(arg)) or (of.kind == "custom" and arg[-1] > h_top):
+    if not np.all(np.isfinite(arg)) or (of.kind == "custom" and arg[-1] > of.h_top):
         raise InversionOverflow(
             "argument of g leaves the validated range of h; reduce m or the "
             "zeta mass, or extend t_max")
     fp = np.asarray(of.g(arg), dtype=float) / beta
 
-    f = np.zeros_like(fp)
-    f[1:] = np.cumsum(0.5 * (fp[1:] + fp[:-1]) * np.diff(knots))
+    f = cumulative_trapezoid(fp, knots)
     zl = zeta.eval(knots)
     Rb = np.asarray(of.R(np.minimum(beta * fp, of.t_max)), dtype=float)
     fpp = zl / (alpha * Rb)
@@ -275,8 +276,8 @@ def _validate_profile(prof: BarrierProfile):
 
 
 def tune_m(of: OrliczFunction, zeta: ZetaProfile, alpha: float, beta: float,
-           target: float, rel_tol: float = 1e-6) -> BarrierProfile:
-    """Bisection on m so that f(1) lands in [target*(1 - rel_tol), target].
+           target: float) -> BarrierProfile:
+    """Bisection on m so that f(1) lands in [target*(1 - TUNE_REL_TOL), target].
 
     f(1) is strictly increasing in m and f(1) >= m, so [0, target] brackets
     the root; the one-sided acceptance keeps f(1) usable as a lower barrier
@@ -294,7 +295,7 @@ def tune_m(of: OrliczFunction, zeta: ZetaProfile, alpha: float, beta: float,
             hi *= 0.5
     if prof_hi is None:
         raise TargetUnreachable("no evaluable m at all")
-    if prof_hi.f1 < target * (1 - rel_tol):
+    if prof_hi.f1 < target * (1 - TUNE_REL_TOL):
         raise TargetUnreachable(
             f"f(1) tops out at {prof_hi.f1!r} before g overflows; target {target!r}")
     if prof_hi.f1 <= target:
@@ -305,7 +306,7 @@ def tune_m(of: OrliczFunction, zeta: ZetaProfile, alpha: float, beta: float,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         prof = build_barrier(of, zeta, mid, alpha, beta)
-        if target * (1 - rel_tol) <= prof.f1 <= target:
+        if target * (1 - TUNE_REL_TOL) <= prof.f1 <= target:
             return prof
         if prof.f1 < target:
             lo = mid
@@ -314,7 +315,7 @@ def tune_m(of: OrliczFunction, zeta: ZetaProfile, alpha: float, beta: float,
             hi = mid
         if hi - lo <= 1e-16 * max(hi, 1.0):
             break
-    if best is not None and best.f1 >= target * (1 - 10 * rel_tol):
+    if best is not None and best.f1 >= target * (1 - 10 * TUNE_REL_TOL):
         return best
     raise TargetUnreachable(f"bisection stalled near f(1) = "
                             f"{(best or prof).f1!r}")
@@ -373,16 +374,16 @@ def compose_barrier(w: ScalarField, prof: BarrierProfile) -> ScalarField:
 
 def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,
                        zeta: ZetaProfile | None = None,
-                       diag: LevelDiagnostics | None = None,
-                       margin_factor: float = 1e-3) -> SubsolutionReport:
+                       diag: LevelDiagnostics | None = None) -> SubsolutionReport:
     """Three pointwise certificates on cells at least two cells inside:
 
     (i)   the discrete operator applied to f(w) is >= -tol,
     (ii)  f''(w) R(f'(w)|grad w|) >= |grad w|^-5 inf_lap(w),
     (iii) f''(w) R(f'(w)|grad w|) >= zeta(w).
 
-    Tolerances scale with the median flux over the ring divided by the ring
-    gap (the natural magnitude of the discrete operator there).
+    Tolerances are MARGIN_FACTOR times a scale: for (i) the median flux
+    over the ring divided by the ring gap (the natural magnitude of the
+    discrete operator there), for (ii) and (iii) the median left-hand side.
     """
     diag = diag or level_diagnostics(w)
     eligible = diag.trusted
@@ -396,7 +397,7 @@ def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,
     fpp = prof.eval_fpp(wv)
     q = fp * gn
     scale = flux_scale(q, of, w.ring.gap)
-    tol_res = margin_factor * scale
+    tol_res = MARGIN_FACTOR * scale
 
     v = compose_barrier(w, prof)
     res = operator_residual(v, of).values[eligible]
@@ -413,7 +414,7 @@ def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,
     else:
         margin_zeta = lhs - zl
     worst_zeta = float(np.min(margin_zeta))
-    tol_red = margin_factor * max(float(np.median(np.abs(lhs))), 1e-300)
+    tol_red = MARGIN_FACTOR * max(float(np.median(np.abs(lhs))), 1e-300)
 
     jj, ii = np.nonzero(eligible)
     def _loc(vals):

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import barrier as barrier_mod
 from . import geometry, gridio, hopf, orlicz, solver
-from .errors import ConfigError, HopflabError, MissingArtifact, NotIntegrable
+from .errors import (ConfigError, HopflabError, MissingArtifact, NotIntegrable,
+                     OutOfRange)
 
 
 @dataclass
@@ -186,6 +187,27 @@ def _validate(cfg: RunConfig):
                               f"number, got {text!r}")
     if not _positive_number(cfg.c_d):
         raise ConfigError(f"[barrier] c_d: need a positive finite number, got {cfg.c_d!r}")
+    _checked("function", _build_function, cfg)
+    eps = _checked("modulus", _build_modulus, cfg)
+    if cfg.geometry_kind == "dini_cap":
+        if not 0 < cfg.r_d <= eps.t_cap:
+            raise ConfigError(f"[geometry] r_d: need 0 < r_d <= t_cap = {eps.t_cap!r}, "
+                              f"got {cfg.r_d!r}")
+    elif not 0 < cfg.r1 < cfg.r2 < math.inf:
+        raise ConfigError(f"[geometry] r1 {cfg.r1!r} and r2 {cfg.r2!r}: "
+                          f"need 0 < r1 < r2, both finite")
+    elif cfg.extent is not None and not cfg.r2 <= cfg.extent < math.inf:
+        raise ConfigError(f"[grid] extent: need a finite extent >= r2 = {cfg.r2!r}, "
+                          f"got {cfg.extent!r}")
+
+
+def _checked(section: str, build, cfg: RunConfig):
+    """build(cfg), with an OutOfRange from the built object's own checks
+    turned into a ConfigError naming the section."""
+    try:
+        return build(cfg)
+    except OutOfRange as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _positive_number(text) -> bool:
@@ -202,7 +224,7 @@ def _positive_number(text) -> bool:
 
 def _build_function(cfg: RunConfig) -> orlicz.OrliczFunction:
     if cfg.function_kind == "power":
-        return orlicz.power(cfg.p, t_max=cfg.t_max or 1e6)
+        return orlicz.power(cfg.p, t_max=1e6 if cfg.t_max is None else cfg.t_max)
     header, rows = gridio.read_table(cfg.table_path)
     ts = np.array([float(r[0]) for r in rows])
     hs = np.array([float(r[1]) for r in rows])
@@ -210,9 +232,10 @@ def _build_function(cfg: RunConfig) -> orlicz.OrliczFunction:
 
 
 def _build_modulus(cfg: RunConfig) -> geometry.DiniModulus:
+    t_cap = cfg.modulus_t_cap
     if cfg.modulus_kind == "power":
-        return geometry.PowerModulus(cfg.modulus_a, t_cap=cfg.modulus_t_cap or 1.0)
-    return geometry.LogPowerModulus(cfg.modulus_q, t_cap=cfg.modulus_t_cap or 0.5)
+        return geometry.PowerModulus(cfg.modulus_a, t_cap=1.0 if t_cap is None else t_cap)
+    return geometry.LogPowerModulus(cfg.modulus_q, t_cap=0.5 if t_cap is None else t_cap)
 
 
 def _build_ring(cfg: RunConfig) -> geometry.ConvexRing:
@@ -306,27 +329,30 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     return 0 if u.meta["converged"] and w.meta["converged"] else 3
 
 
-def _read_solved(out: Path, cfg: RunConfig, name: str,
-                 ring: geometry.ConvexRing) -> solver.ScalarField:
+_SOLVED_KEYS = ("inner_value", "outer_value", "delta_final")
+
+
+def _read_solved(out: Path, name: str, ring: geometry.ConvexRing) -> solver.ScalarField:
+    """A field written by solve, with the boundary data and final delta of
+    its solve_report.txt."""
     path = out / name
-    if not path.exists():
-        raise MissingArtifact(f"{path} not found; run solve first")
+    rep = out / "solve_report.txt"
+    for need in (path, rep):
+        if not need.exists():
+            raise MissingArtifact(f"{need} not found; run solve first")
     grid, values, mask = gridio.read_grid_file(path)
     if (grid.nx, grid.ny) != (ring.grid.nx, ring.grid.ny):
         raise MissingArtifact(f"{path} was produced on a different grid")
     meta = {}
-    rep = out / "solve_report.txt"
-    if rep.exists():
-        for line in rep.read_text().splitlines():
-            parts = line.split()
-            if len(parts) == 2 and parts[0] in ("inner_value", "outer_value",
-                                                "delta_final"):
-                meta[parts[0]] = float(parts[1])
-            if parts[:1] == ["converged"]:
-                meta["converged"] = parts[1] == "True"
-    meta.setdefault("inner_value", 1.0)
-    meta.setdefault("outer_value", 0.0)
-    meta.setdefault("delta_final", cfg.delta_schedule[-1])
+    for line in rep.read_text().splitlines():
+        parts = line.split()
+        if len(parts) == 2 and parts[0] in _SOLVED_KEYS:
+            meta[parts[0]] = float(parts[1])
+        if parts[:1] == ["converged"]:
+            meta["converged"] = parts[1] == "True"
+    missing = [key for key in _SOLVED_KEYS if key not in meta]
+    if missing:
+        raise MissingArtifact(f"{rep} has no {' / '.join(missing)} line; run solve again")
     meta["operator"] = name
     return solver.ScalarField(ring.grid, values, mask, ring, meta)
 
@@ -334,8 +360,8 @@ def _read_solved(out: Path, cfg: RunConfig, name: str,
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     of = _build_function(cfg)
     ring = _build_ring(cfg)
-    w = _read_solved(out, cfg, "harmonic.grid", ring)
-    u = _read_solved(out, cfg, "potential.grid", ring)
+    w = _read_solved(out, "harmonic.grid", ring)
+    u = _read_solved(out, "potential.grid", ring)
     w.meta["inner_value"], w.meta["outer_value"] = 1.0, 0.0
     w.meta["delta_final"] = 0.0
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BadRadii, ContainmentViolated, GapTooSmall, GridTooSmall,
                      OutOfRange, TableTooCoarse)
-from .quadrature import EndpointIntegral, integral_to_zero
+from .quadrature import EndpointIntegral, bisect, integral_to_zero
 
 
 class Mask(IntEnum):
@@ -89,6 +89,8 @@ class DiniModulus:
     kind = "custom"
 
     def __init__(self, t_cap: float):
+        if not 0 < t_cap < np.inf:
+            raise OutOfRange(f"t_cap = {t_cap!r}: need a positive finite number")
         self.t_cap = float(t_cap)
 
     def eval(self, t):
@@ -105,7 +107,7 @@ class PowerModulus(DiniModulus):
 
     def __init__(self, a: float, t_cap: float = 1.0):
         if not (0 < a <= 1):
-            raise OutOfRange("power modulus needs a in (0, 1]")
+            raise OutOfRange(f"a = {a!r}: a power modulus needs a in (0, 1]")
         super().__init__(t_cap)
         self.a = float(a)
 
@@ -122,10 +124,10 @@ class LogPowerModulus(DiniModulus):
     kind = "logpower"
 
     def __init__(self, q: float, t_cap: float = 0.5):
-        if q <= 0:
-            raise OutOfRange("log-power modulus needs q > 0")
-        if t_cap >= 1.0:
-            raise OutOfRange("log-power modulus needs t_cap < 1")
+        if not q > 0:
+            raise OutOfRange(f"q = {q!r}: a log-power modulus needs q > 0")
+        if not t_cap < 1.0:
+            raise OutOfRange(f"t_cap = {t_cap!r}: a log-power modulus needs t_cap < 1")
         super().__init__(t_cap)
         self.q = float(q)
 
@@ -214,10 +216,11 @@ def _smooth_max(a, b, s: float):
     return 0.5 * (a + b + np.sqrt((a - b) ** 2 + s * s))
 
 
+SDF_BOUNDARY_POINTS = 4096    # polyline vertices behind a signed distance
+
+
 class ConvexDomain:
     """Convex region given by a convex level function G (negative inside)."""
-
-    descriptor_kind = "domain"
 
     def level(self, pts, smoothing: float = 0.0):
         """Convex function, negative inside; not a distance in general."""
@@ -240,20 +243,16 @@ class ConvexDomain:
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         (x0, x1), (y0, y1) = self.bbox()
         r_hi = 2.0 * max(x1 - x0, y1 - y0) + 1.0
-        lo = np.zeros(n)
-        hi = np.full(n, r_hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            pts = np.array([cx, cy]) + mid[:, None] * dirs
-            out = self.level(pts, smoothing) >= 0.0
-            hi = np.where(out, mid, hi)
-            lo = np.where(out, lo, mid)
-        r = 0.5 * (lo + hi)
-        return np.array([cx, cy]) + r[:, None] * dirs
+        center = np.array([cx, cy])
+        # ~(level >= 0) rather than level < 0: a NaN level counts as inside
+        r = bisect(lambda mid: ~(self.level(center + mid[:, None] * dirs, smoothing) >= 0.0),
+                   np.zeros(n), np.full(n, r_hi), 60)
+        return center + r[:, None] * dirs
 
-    def signed_distance(self, pts, smoothing: float = 0.0, n_boundary: int = 4096):
-        """Accurate signed distance via the sampled boundary polyline."""
-        poly = self.boundary(n_boundary, smoothing)
+    def signed_distance(self, pts, smoothing: float = 0.0):
+        """Accurate signed distance via the boundary polyline of
+        SDF_BOUNDARY_POINTS vertices."""
+        poly = self.boundary(SDF_BOUNDARY_POINTS, smoothing)
         d = _distance_to_polyline(np.asarray(pts, dtype=float), poly)
         sign = np.where(self.inside(pts, smoothing), -1.0, 1.0)
         return sign * d
@@ -314,8 +313,6 @@ def _all_segments_d2(p, a, ab, ab2):
 
 
 class Disk(ConvexDomain):
-    descriptor_kind = "disk"
-
     def __init__(self, center, radius: float):
         if radius <= 0:
             raise BadRadii("disk radius must be positive")
@@ -326,7 +323,7 @@ class Disk(ConvexDomain):
         p = np.asarray(pts, dtype=float)
         return np.hypot(p[..., 0] - self.center[0], p[..., 1] - self.center[1]) - self.radius
 
-    def signed_distance(self, pts, smoothing: float = 0.0, n_boundary: int = 0):
+    def signed_distance(self, pts, smoothing: float = 0.0):
         return self.level(pts)
 
     def anchor(self):
@@ -350,8 +347,6 @@ class Disk(ConvexDomain):
 class Polygon(ConvexDomain):
     """Convex polygon with counterclockwise vertices."""
 
-    descriptor_kind = "polygon"
-
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
         if len(v) < 3:
@@ -372,7 +367,7 @@ class Polygon(ConvexDomain):
             np.einsum("ik,ik->i", self.vertices, self._normals)
         return np.max(d, axis=-1)
 
-    def signed_distance(self, pts, smoothing: float = 0.0, n_boundary: int = 0):
+    def signed_distance(self, pts, smoothing: float = 0.0):
         p = np.asarray(pts, dtype=float)
         lev = self.level(p)
         d_out = _distance_to_polyline(p, self.vertices)
@@ -410,8 +405,6 @@ class DiniCap(ConvexDomain):
     both level functions are convex when t*eps(t) is convex).
     """
 
-    descriptor_kind = "dini_cap"
-
     def __init__(self, r_d: float, eps: DiniModulus, smoothing: float = 0.0):
         if r_d <= 0:
             raise BadRadii("cap radius must be positive")
@@ -445,8 +438,6 @@ class DiniCap(ConvexDomain):
 class Reflected(ConvexDomain):
     """Point reflection through the origin: -K."""
 
-    descriptor_kind = "reflected"
-
     def __init__(self, base: ConvexDomain):
         self.base = base
 
@@ -468,17 +459,18 @@ class Reflected(ConvexDomain):
         return f"domain reflected {self.base.descriptor()}"
 
 
-def build_dini_cap(r_d: float, eps: DiniModulus, smoothing: float | None = None) -> DiniCap:
-    """Construct the cap and verify the 3/4-ball containment.
+CAP_SMOOTHING = 1.0 / 256.0   # corner smoothing per unit of cap radius: about a cell
 
-    smoothing defaults to r_d/256 (about one cell at the grids used here);
-    raises ContainmentViolated when r_d is too large for this modulus.
+
+def build_dini_cap(r_d: float, eps: DiniModulus) -> DiniCap:
+    """Construct the cap, smoothed over r_d * CAP_SMOOTHING, and verify the
+    3/4-ball containment; raises ContainmentViolated when r_d is too large
+    for this modulus.
     """
     rep = dini_report(eps, min(r_d, eps.t_cap))
     if not rep.convex_dini:
         raise OutOfRange("cap construction needs a convex-Dini modulus")
-    s = r_d / 256.0 if smoothing is None else smoothing
-    cap = DiniCap(r_d, eps, smoothing=s)
+    cap = DiniCap(r_d, eps, smoothing=r_d * CAP_SMOOTHING)
     poly = cap.boundary(4096)
     dist = np.hypot(poly[:, 0], poly[:, 1] - r_d).min()
     if dist <= 0.75 * r_d * (1 + 1e-9):
@@ -492,6 +484,8 @@ def build_dini_cap(r_d: float, eps: DiniModulus, smoothing: float | None = None)
 # --------------------------------------------------------------------------
 
 _STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+RING_BOUNDARY_POINTS = 2048   # polyline vertices per domain for the ring gap
+PAD_CELLS = 6                 # empty cells around a cap ring's outer domain
 
 
 @dataclass
@@ -511,7 +505,6 @@ class ConvexRing:
     mask: np.ndarray
     ghosts: GhostLayer
     gap: float
-    meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def cached(self, key: str, build):
@@ -561,22 +554,33 @@ def _interior_depth(ring: ConvexRing):
     return depth
 
 
-def _dilate8(m):
-    out = m.copy()
-    out[1:, :] |= m[:-1, :]
-    out[:-1, :] |= m[1:, :]
-    out[:, 1:] |= m[:, :-1]
-    out[:, :-1] |= m[:, 1:]
-    out[1:, 1:] |= m[:-1, :-1]
-    out[:-1, :-1] |= m[1:, 1:]
-    out[1:, :-1] |= m[:-1, 1:]
-    out[:-1, 1:] |= m[1:, :-1]
+def _shift(arr: np.ndarray, dj: int, di: int, fill):
+    """out[j, i] = arr[j + dj, i + di], and fill where that leaves the array."""
+    out = np.full(arr.shape, fill, dtype=np.result_type(arr, fill))
+    ny, nx = arr.shape
+    js = slice(max(dj, 0), ny + min(dj, 0))
+    jt = slice(max(-dj, 0), ny + min(-dj, 0))
+    is_ = slice(max(di, 0), nx + min(di, 0))
+    it = slice(max(-di, 0), nx + min(-di, 0))
+    out[jt, it] = arr[js, is_]
     return out
 
 
-def make_ring(inner: ConvexDomain, outer: ConvexDomain, grid: Grid,
-              n_boundary: int = 2048) -> ConvexRing:
-    """Classify grid nodes against the ring and build the ghost layer."""
+def _dilate8(m):
+    """m grown by one node into all eight neighbours."""
+    out = m.copy()
+    for dj in (-1, 0, 1):
+        for di in (-1, 0, 1):
+            out |= _shift(m, dj, di, False)
+    return out
+
+
+def make_ring(inner: ConvexDomain, outer: ConvexDomain, grid: Grid) -> ConvexRing:
+    """Classify grid nodes against the ring and build the ghost layer.
+
+    The ring gap is measured between boundary polylines of
+    RING_BOUNDARY_POINTS vertices. Raises GridTooSmall when an interior
+    node lies on the border of the grid: the grid then cuts the ring."""
     pts = grid.points()
     s = grid.h
     lev_in = np.asarray(inner.level(pts, smoothing=s), dtype=float)
@@ -586,8 +590,8 @@ def make_ring(inner: ConvexDomain, outer: ConvexDomain, grid: Grid,
     if np.any(in_inner & ~in_outer):
         raise GapTooSmall("inner domain not contained in outer domain on this grid")
 
-    b1 = inner.boundary(n_boundary, smoothing=s)
-    b2 = outer.boundary(n_boundary, smoothing=s)
+    b1 = inner.boundary(RING_BOUNDARY_POINTS, smoothing=s)
+    b2 = outer.boundary(RING_BOUNDARY_POINTS, smoothing=s)
     gap = float(_distance_to_polyline(b1, b2).min())
     if gap < 2.0 * grid.h:
         raise GapTooSmall(f"ring gap {gap!r} below two cells ({2 * grid.h!r})")
@@ -599,19 +603,15 @@ def make_ring(inner: ConvexDomain, outer: ConvexDomain, grid: Grid,
     interior = (lev_out < -margin) & (lev_in > margin)
     if not interior.any():
         raise GridTooSmall("no interior nodes")
+    if (interior[0].any() or interior[-1].any() or interior[:, 0].any()
+            or interior[:, -1].any()):
+        raise GridTooSmall("the grid cuts the ring: an interior node lies on its border")
     if int(np.count_nonzero(in_inner)) >= int(np.count_nonzero(in_outer)):
         raise GapTooSmall("masks not strictly nested")
 
-    ny, nx = interior.shape
     ghost = np.zeros_like(interior)
     for dj, di in _STENCIL:
-        shifted = np.zeros_like(interior)
-        js = slice(max(dj, 0), ny + min(dj, 0))
-        jt = slice(max(-dj, 0), ny + min(-dj, 0))
-        is_ = slice(max(di, 0), nx + min(di, 0))
-        it = slice(max(-di, 0), nx + min(-di, 0))
-        shifted[jt, it] = interior[js, is_]
-        ghost |= shifted
+        ghost |= _shift(interior, dj, di, False)
     ghost &= ~interior
 
     mask = np.full(interior.shape, int(Mask.OUTSIDE), dtype=np.uint8)
@@ -668,16 +668,11 @@ def _build_ghost_layer(inner, outer, grid, mask, lev_in, lev_out) -> GhostLayer:
         f_a = np.asarray(dom.level(a, smoothing=grid.h), dtype=float)
         f_far = np.asarray(dom.level(a + far * (b - a), smoothing=grid.h), dtype=float)
         crossed = f_a * f_far < 0
-        lo = np.zeros(len(gj))
-        hi = np.full(len(gj), far)
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            fm = np.asarray(dom.level(a + mid[:, None] * (b - a), smoothing=grid.h),
-                            dtype=float)
-            same = fm * f_a > 0
-            lo = np.where(same, mid, lo)
-            hi = np.where(same, hi, mid)
-        theta = np.where(crossed, 0.5 * (lo + hi), far)
+        def same_side(mid):
+            fm = dom.level(a + mid[:, None] * (b - a), smoothing=grid.h)
+            return np.asarray(fm, dtype=float) * f_a > 0
+        cut = bisect(same_side, np.zeros(len(gj)), np.full(len(gj), far), 52)
+        theta = np.where(crossed, cut, far)
         theta = np.clip(theta, 0.15, far)
         all_idx.append(g_flat)
         all_partner.append(p_flat)
@@ -707,9 +702,10 @@ class RingPair:
     outer_ring: ConvexRing
 
 
-def make_cap_ring(cap: DiniCap, r_d: float, side: str, resolution: int = 257,
-                  pad_cells: int = 6) -> ConvexRing:
-    """One of the two barrier rings carried by a cap domain K.
+def make_cap_ring(cap: DiniCap, r_d: float, side: str,
+                  resolution: int = 257) -> ConvexRing:
+    """One of the two barrier rings carried by a cap domain K, on a grid
+    that leaves PAD_CELLS empty cells around the outer domain.
 
     inner: K minus the half-radius ball at (0, r_d);
     outer: the 3 r_d ball at (0, -r_d) minus the point reflection -K.
@@ -725,24 +721,24 @@ def make_cap_ring(cap: DiniCap, r_d: float, side: str, resolution: int = 257,
 
     # both outer domains have square bounding boxes, so the x span is the span
     (x0, x1), (y0, y1) = outer.bbox()
-    h_est = (x1 - x0) / max(resolution - 2 * pad_cells - 1, 1)
-    pad = pad_cells * h_est
+    h_est = (x1 - x0) / max(resolution - 2 * PAD_CELLS - 1, 1)
+    pad = PAD_CELLS * h_est
     grid = Grid.from_box(x0 - pad, x1 + pad, y0 - pad, y1 + pad, resolution)
     return make_ring(inner, outer, grid)
 
 
-def make_rings(cap: DiniCap, r_d: float, resolution: int = 257,
-               pad_cells: int = 6) -> RingPair:
+def make_rings(cap: DiniCap, r_d: float, resolution: int = 257) -> RingPair:
     """Both barrier rings carried by a cap domain K (see make_cap_ring)."""
-    return RingPair(make_cap_ring(cap, r_d, "inner", resolution, pad_cells),
-                    make_cap_ring(cap, r_d, "outer", resolution, pad_cells))
+    return RingPair(make_cap_ring(cap, r_d, "inner", resolution),
+                    make_cap_ring(cap, r_d, "outer", resolution))
 
 
 def rasterize(dom: ConvexDomain, grid: Grid):
     """Inside mask and signed distance on grid nodes.
 
     Distance comes from the exact formula for disks and polygons and from a
-    4096-point boundary polyline otherwise (error well below a cell diagonal).
+    boundary polyline of SDF_BOUNDARY_POINTS vertices otherwise (error well
+    below a cell diagonal).
     """
     pts = grid.points()
     (x0, x1), (y0, y1) = dom.bbox()

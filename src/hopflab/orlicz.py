@@ -11,17 +11,22 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (InversionFailure, NonMonotone, NonzeroOrigin, OutOfRange,
                      Unbounded)
 from .pchip import Pchip
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, bisect, cumulative_trapezoid
 
 QUAD_TOL = 1e-10          # absolute tolerance for F, F* quadrature
 COERCIVITY_RATIO_MAX = 10.0   # pass threshold for sup/inf of h(t)/t^(p-1)
 DELTA2_CAP = 1e4          # doubling ratios above this count as unbounded growth
+CONDITION_T_LO = 1e-6     # check_conditions samples h on [t_max * this, t_max / 2]
+R_GRID = 1025             # log-spaced samples of the R condition's range
+R_ANCHORS = 11            # interval ends among them (the lattice of [t, T])
+NORM_STEPS = 64           # halvings of the norm bracket: it ends below one ulp
 
 
 @dataclass(frozen=True)
@@ -48,15 +53,13 @@ class OrliczFunction:
         self._h = h_fn
         self._h_prime = h_prime_fn
         self._table = table
-        self._F_spline = None
-        self._Fstar_spline = None
         self._validate()
 
     # -- validation -------------------------------------------------------
 
     def _validate(self):
-        if self.t_max <= 0:
-            raise OutOfRange("t_max must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise OutOfRange(f"t_max = {self.t_max!r}: need a positive finite number")
         h0 = float(self._h(np.array([0.0]))[0])
         scale = max(1.0, abs(float(self._h(np.array([min(1.0, self.t_max)]))[0])))
         if abs(h0) > 1e-9 * scale:
@@ -74,6 +77,11 @@ class OrliczFunction:
         t = np.asarray(t, dtype=float)
         return self._h(t)
 
+    @cached_property
+    def h_top(self) -> float:
+        """h(t_max): the top of the range where g and F* are validated."""
+        return float(self.h(np.array([self.t_max]))[0])
+
     def h_prime(self, t):
         t = np.asarray(t, dtype=float)
         if self._h_prime is not None:
@@ -87,38 +95,30 @@ class OrliczFunction:
         t = np.asarray(t, dtype=float)
         if self.kind == "power":
             return t ** self.p / self.p
-        return self._f_spline()(np.clip(t, 0.0, self.t_max))
+        return self._f_spline(np.clip(t, 0.0, self.t_max))
 
     def g(self, y):
         """Inverse flow law, by monotone bisection for custom laws."""
         y = np.asarray(y, dtype=float)
         if self.kind == "power":
             return y ** (1.0 / (self.p - 1.0))
-        h_top = float(self.h(np.array([self.t_max]))[0])
-        if np.any(y > h_top * (1 + 1e-12)):
+        if np.any(y > self.h_top * (1 + 1e-12)):
             raise InversionFailure(
-                f"g argument above h(t_max) = {h_top!r}; no bracket below t_max")
-        return self._invert(np.clip(y, 0.0, h_top))
+                f"g argument above h(t_max) = {self.h_top!r}; no bracket below t_max")
+        return self._invert(np.clip(y, 0.0, self.h_top))
 
     def _invert(self, y):
-        lo = np.zeros_like(y)
-        hi = np.full_like(y, self.t_max)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            under = self.h(mid) < y
-            lo = np.where(under, mid, lo)
-            hi = np.where(under, hi, mid)
-        return 0.5 * (lo + hi)
+        return bisect(lambda mid: self.h(mid) < y, np.zeros_like(y),
+                      np.full_like(y, self.t_max), 90)
 
     def Fstar(self, y):
         y = np.asarray(y, dtype=float)
         if self.kind == "power":
             q = self.p / (self.p - 1.0)
             return y ** q / q
-        h_top = float(self.h(np.array([self.t_max]))[0])
-        if np.any(y > h_top * (1 + 1e-12)):
-            raise OutOfRange(f"F* validated only up to h(t_max) = {h_top!r}")
-        return self._fstar_spline()(np.clip(y, 0.0, h_top))
+        if np.any(y > self.h_top * (1 + 1e-12)):
+            raise OutOfRange(f"F* validated only up to h(t_max) = {self.h_top!r}")
+        return self._fstar_spline(np.clip(y, 0.0, self.h_top))
 
     def R(self, t):
         t = np.asarray(t, dtype=float)
@@ -136,26 +136,21 @@ class OrliczFunction:
         geo = np.geomspace(self.t_max * 1e-10, self.t_max, 2049)
         return np.unique(np.concatenate([lin, geo]))
 
+    @cached_property
     def _f_spline(self):
-        if self._F_spline is None:
-            if self._table is not None:
-                ts = self._table[0]
-                hs = self._table[1]
-            else:
-                ts = self._dense_ts()
-                hs = self.h(ts)
-            self._F_spline = Pchip(ts, hs, extrapolate=False).antiderivative()
-        return self._F_spline
+        if self._table is not None:
+            ts, hs = self._table
+        else:
+            ts = self._dense_ts()
+            hs = self.h(ts)
+        return Pchip(ts, hs, extrapolate=False).antiderivative()
 
+    @cached_property
     def _fstar_spline(self):
-        if self._Fstar_spline is None:
-            h_top = float(self.h(np.array([self.t_max]))[0])
-            ys = np.unique(np.concatenate([
-                [0.0], np.linspace(0.0, h_top, 8193),
-                np.geomspace(h_top * 1e-10, h_top, 2049)]))
-            gs = self._invert(ys)
-            self._Fstar_spline = Pchip(ys, gs).antiderivative()
-        return self._Fstar_spline
+        ys = np.unique(np.concatenate([
+            [0.0], np.linspace(0.0, self.h_top, 8193),
+            np.geomspace(self.h_top * 1e-10, self.h_top, 2049)]))
+        return Pchip(ys, self._invert(ys)).antiderivative()
 
     # -- serialization -------------------------------------------------------
 
@@ -180,8 +175,8 @@ class OrliczFunction:
 
 def power(p: float, t_max: float = 1e6) -> OrliczFunction:
     """h(t) = t^(p-1); the p-Laplacian flow law."""
-    if p <= 1.0:
-        raise OutOfRange("power law needs p > 1")
+    if not p > 1.0:
+        raise OutOfRange(f"p = {p!r}: a power law needs p > 1")
 
     def h_fn(t):
         return t ** (p - 1.0)
@@ -208,7 +203,8 @@ def custom(h=None, table=None, t_max: float | None = None) -> OrliczFunction:
         spline = Pchip(ts, hs, extrapolate=False)
         spline_d = spline.derivative()
         return OrliczFunction("custom", lambda t: spline(np.clip(t, 0, ts[-1])),
-                              t_max or ts[-1], h_prime_fn=lambda t: spline_d(np.clip(t, 0, ts[-1])),
+                              ts[-1] if t_max is None else t_max,
+                              h_prime_fn=lambda t: spline_d(np.clip(t, 0, ts[-1])),
                               table=(ts, hs))
     if h is None:
         raise ValueError("custom needs a callable h or a table")
@@ -225,17 +221,16 @@ def conjugate(of: OrliczFunction) -> OrliczFunction:
     """The structural function whose flow law is g = h^-1 (so its F is F*)."""
     if of.kind == "power":
         return power(of.p / (of.p - 1.0), t_max=of.t_max ** (of.p - 1.0))
-    h_top = float(of.h(np.array([of.t_max]))[0])
 
     def g_fn(y):
-        return of._invert(np.clip(np.asarray(y, dtype=float), 0.0, h_top))
+        return of._invert(np.clip(np.asarray(y, dtype=float), 0.0, of.h_top))
 
     def g_prime(y):
         t = g_fn(y)
         d = np.asarray(of.h_prime(t), dtype=float)
         return 1.0 / np.maximum(d, 1e-300)
 
-    return OrliczFunction("custom", g_fn, h_top, h_prime_fn=g_prime)
+    return OrliczFunction("custom", g_fn, of.h_top, h_prime_fn=g_prime)
 
 
 def evaluate(of: OrliczFunction, t: float) -> EvalRecord:
@@ -249,33 +244,9 @@ def evaluate(of: OrliczFunction, t: float) -> EvalRecord:
         F = adaptive_simpson(lambda x: float(of.h(np.array([x]))[0]), 0.0, t, QUAD_TOL)
         Fstar = adaptive_simpson(lambda x: float(of.g(np.array([x]))[0]), 0.0, t, QUAD_TOL)
     h = float(of.h(np.array([t]))[0])
-    g = _invert_scalar(of, t)
+    g = float(of.g(np.array([t]))[0])
     R = float(of.R(np.array([t]))[0]) if t > 0 else np.inf
     return EvalRecord(F=F, h=h, g=g, Fstar=Fstar, R=R)
-
-
-def _invert_scalar(of: OrliczFunction, y: float) -> float:
-    """g(y) by bisection with exponential bracket growth."""
-    if y == 0.0:
-        return 0.0
-    if of.kind == "power":
-        return float(y ** (1.0 / (of.p - 1.0)))
-    hi = min(1.0, of.t_max)
-    while float(of.h(np.array([hi]))[0]) < y:
-        hi *= 2.0
-        if hi > of.t_max * (1 + 1e-12):
-            raise InversionFailure(f"no bracket for g({y!r}) below t_max")
-    hi = min(hi, of.t_max)
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(of.h(np.array([mid]))[0]) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(hi, 1.0):
-            break
-    return 0.5 * (lo + hi)
 
 
 def young_gap(of: OrliczFunction, a: float, b: float) -> float:
@@ -311,17 +282,13 @@ class ConditionReport:
         return "\n".join(lines) + "\n"
 
 
-def check_conditions(of: OrliczFunction, p_guess: float,
-                     t_range: tuple[float, float] | None = None) -> list[ConditionReport]:
-    """Physical, coercivity and doubling reports over a log-spaced sample.
+def check_conditions(of: OrliczFunction, p_guess: float) -> list[ConditionReport]:
+    """Physical, coercivity and doubling reports over a log-spaced sample of
+    [t_max * CONDITION_T_LO, t_max / 2].
 
     Failures are reported with witnesses, never raised.
     """
-    if t_range is None:
-        t_range = (of.t_max * 1e-6, of.t_max / 2)
-    lo, hi = t_range
-    if not (0 < lo < hi <= of.t_max / 2 * (1 + 1e-12)):
-        raise OutOfRange("t_range must sit inside (0, t_max/2]")
+    lo, hi = of.t_max * CONDITION_T_LO, of.t_max / 2
     ts = np.geomspace(lo, hi, 257)
     reports = []
 
@@ -355,10 +322,9 @@ def check_conditions(of: OrliczFunction, p_guess: float,
     wit = []
     dual_ok = True
     try:
-        h_top = float(of.h(np.array([of.t_max]))[0]) if of.kind == "custom" else None
         yd = np.geomspace(t0, hi, 129)
-        if h_top is not None and 2 * yd[-1] > h_top:
-            yd = yd[2 * yd <= h_top]
+        if of.kind == "custom" and 2 * yd[-1] > of.h_top:
+            yd = yd[2 * yd <= of.h_top]
         if len(yd) == 0:
             raise OutOfRange("F* undefined at doubled arguments")
         ratios.append(np.max(of.Fstar(2 * yd) / of.Fstar(yd)))
@@ -410,33 +376,29 @@ class WeightSample:
 
 
 def check_condition_R(of: OrliczFunction, c_samples: list[WeightSample],
-                      s_range: tuple[float, float],
-                      n_grid: int = 1025, n_anchors: int = 11) -> ConditionReport:
+                      s_range: tuple[float, float]) -> ConditionReport:
     """Search constants (alpha, beta) so that, on a lattice of intervals
     [t, T] inside s_range and for every supplied weight,
 
         integral of R(c(s) s) over [t, T]  >=  alpha * integral of R(beta s).
 
-    The certificate is sampled: it quantifies only over the supplied weights
-    and lattice, which the report states.
+    The integrals are trapezoid sums over R_GRID log-spaced samples, and the
+    interval ends run over R_ANCHORS of them. The certificate is sampled: it
+    quantifies only over the supplied weights and lattice, which the report
+    states.
     """
     lo, hi = s_range
     if not (0 < lo < hi):
         raise OutOfRange("s_range must be positive and increasing")
-    s = np.geomspace(lo, hi, n_grid)
-    anchors = np.unique(np.linspace(0, n_grid - 1, n_anchors).astype(int))
-
-    def cumulative(vals):
-        out = np.zeros_like(s)
-        out[1:] = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(s))
-        return out
+    s = np.geomspace(lo, hi, R_GRID)
+    anchors = np.unique(np.linspace(0, R_GRID - 1, R_ANCHORS).astype(int))
 
     lhs_cums = []
     c_hi_all = max(w.c_hi for w in c_samples)
     c_lo_all = min(w.c_lo for w in c_samples)
     for wgt in c_samples:
         cs = np.asarray(wgt.fn(s), dtype=float)
-        lhs_cums.append(cumulative(np.asarray(of.R(cs * s), dtype=float)))
+        lhs_cums.append(cumulative_trapezoid(np.asarray(of.R(cs * s), dtype=float), s))
 
     alphas = [2.0 ** (-k) for k in range(9)]
     betas = [c_hi_all]
@@ -449,7 +411,7 @@ def check_condition_R(of: OrliczFunction, c_samples: list[WeightSample],
     worst = None
     for alpha in alphas:
         for beta in betas:
-            rhs_cum = cumulative(np.asarray(of.R(beta * s), dtype=float))
+            rhs_cum = cumulative_trapezoid(np.asarray(of.R(beta * s), dtype=float), s)
             ok = True
             for wgt, lhs_cum in zip(c_samples, lhs_cums):
                 for ia in anchors:
@@ -478,9 +440,9 @@ def check_condition_R(of: OrliczFunction, c_samples: list[WeightSample],
                            note="search exhausted; sampled certificate only")
 
 
-def orlicz_norm(field, of: OrliczFunction, rel_tol: float = 1e-8,
-                cell_area: float | None = None) -> float:
-    """Luxemburg-style norm: the least M with sum F(|u|/M) * dA <= F(1).
+def orlicz_norm(field, of: OrliczFunction, cell_area: float | None = None) -> float:
+    """Luxemburg-style norm: the least M with sum F(|u|/M) * dA <= F(1),
+    bisected NORM_STEPS times inside a bracket [M0 / 2^k, M0].
 
     `field` is a ScalarField (values on its interior mask are integrated)
     or a plain array with an explicit cell_area.
@@ -512,12 +474,4 @@ def orlicz_norm(field, of: OrliczFunction, rel_tol: float = 1e-8,
     lo = hi
     while integral(lo) < target and lo > 1e-300:
         lo *= 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if integral(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return 0.5 * (lo + hi)
+    return float(bisect(lambda M: integral(M) > target, lo, hi, NORM_STEPS))

@@ -1,4 +1,5 @@
-"""Scalar quadrature: adaptive Simpson and dyadic integrals toward a singular endpoint."""
+"""Scalar quadrature (adaptive Simpson, dyadic integrals toward a singular
+endpoint, the cumulative trapezoid rule) and vector bisection."""
 
 from __future__ import annotations
 
@@ -7,10 +8,32 @@ from dataclasses import dataclass
 import numpy as np
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(20)
+SIMPSON_MAX_DEPTH = 48    # halvings before adaptive Simpson accepts a panel
+DYADIC_MAX_SEGMENTS = 3000    # dyadic segments integral_to_zero sums at most
+TAIL_WINDOW = 24          # trailing segments that classify the tail (at most)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) -> float:
-    """Integrate f on [a, b] by adaptive Simpson to absolute tolerance tol."""
+def bisect(below, lo, hi, steps: int):
+    """Vector bisection: `steps` halvings of the brackets [lo, hi], keeping
+    the half above mid wherever below(mid) holds; returns the midpoints."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        left = below(mid)
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def cumulative_trapezoid(y, x):
+    """Trapezoid integrals of the samples y over x, from x[0] to each x[k]."""
+    out = np.zeros(len(x))
+    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    return out
+
+
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Integrate f on [a, b] by adaptive Simpson to absolute tolerance tol,
+    halving at most SIMPSON_MAX_DEPTH times."""
     if b == a:
         return 0.0
 
@@ -30,7 +53,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
 
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(a, fa, b, fb)
-    return _recurse(a, fa, b, fb, whole, m, fm, tol, max_depth)
+    return _recurse(a, fa, b, fb, whole, m, fm, tol, SIMPSON_MAX_DEPTH)
 
 
 def gauss_segment(phi, a: float, b: float) -> float:
@@ -55,15 +78,16 @@ class EndpointIntegral:
     classification: str
 
 
-def integral_to_zero(phi, t1: float, *, max_segments: int = 3000,
-                     t_floor: float = 0.0, window: int = 24) -> EndpointIntegral:
+def integral_to_zero(phi, t1: float, *, t_floor: float = 0.0) -> EndpointIntegral:
     """Compute integral of phi over (0, t1] for integrands smooth away from 0.
 
     Dyadic segments [t1*2^-(k+1), t1*2^-k] are summed with a fixed Gauss rule.
     Segment sums with a stable ratio < 1 get a geometric tail; slowly decaying
     sums are fitted to k^-q and the integral is declared convergent only for
     q measurably above 1. Mass concentrates logarithmically toward 0, so the
-    dyadic ladder sees the decay rate directly.
+    dyadic ladder sees the decay rate directly. At most DYADIC_MAX_SEGMENTS
+    segments are summed, and the last TAIL_WINDOW of them (at most a third)
+    classify the tail.
     """
     if t1 <= 0.0:
         raise ValueError("t1 must be positive")
@@ -72,7 +96,7 @@ def integral_to_zero(phi, t1: float, *, max_segments: int = 3000,
     hi = t1
     floored = False
     prev = np.inf
-    for k in range(max_segments):
+    for k in range(DYADIC_MAX_SEGMENTS):
         lo = 0.5 * hi
         if lo < t_floor:
             floored = True
@@ -93,7 +117,7 @@ def integral_to_zero(phi, t1: float, *, max_segments: int = 3000,
 
     arr = np.asarray(sums, dtype=float)
     n = len(arr)
-    w = max(4, min(window, n // 3))
+    w = max(4, min(TAIL_WINDOW, n // 3))
     tail_seg = arr[-w:]
     if np.any(tail_seg <= 0.0):
         # non-positive segments: nothing singular left to resolve

@@ -33,7 +33,7 @@ import numpy as np
 # solve nothing, such as `hopflab check`, do not pay for loading it.
 
 from .errors import DegenerateGradient, StagnationPoint
-from .geometry import ConvexRing, Grid, Mask
+from .geometry import ConvexRing, Grid, Mask, _shift
 from .orlicz import OrliczFunction, power
 
 _G_LOWER = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])   # slots (A, B, C)
@@ -42,6 +42,8 @@ _QUADRATIC = power(2.0)                                      # the Laplacian's l
 _LEAF = 24                # dissection boxes of at most this many nodes stay whole
 _SEARCH = 1000            # boxes above this many nodes look for their shortest line
 _BALANCE = 0.35           # least share of a box's nodes on each side of that line
+GRADIENT_FLOOR = 10.0     # gradients below this many delta_final count as vanishing
+MAX_FLOW_STEPS = 200_000  # midpoint steps trace_flow_line takes in each direction
 
 
 @dataclass
@@ -569,8 +571,7 @@ class LevelDiagnostics:
     curvature: np.ndarray
     laplacian: np.ndarray
     cells: np.ndarray          # nodes where every diagnostic is trustworthy
-    vanishing: np.ndarray      # nodes excluded for |grad| below threshold
-    vanish_tol: float
+    vanishing: np.ndarray      # nodes excluded for |grad| below _gradient_floor
     trusted: np.ndarray        # cells on ring.trusted(): where certificates run
 
 
@@ -583,24 +584,18 @@ def central_gradient(values: np.ndarray, h: float):
     return gx, gy
 
 
-def _shift(arr: np.ndarray, dj: int, di: int, fill):
-    """out[j, i] = arr[j + dj, i + di], and fill where that leaves the array."""
-    out = np.full(arr.shape, fill, dtype=np.result_type(arr, fill))
-    ny, nx = arr.shape
-    js = slice(max(dj, 0), ny + min(dj, 0))
-    jt = slice(max(-dj, 0), ny + min(-dj, 0))
-    is_ = slice(max(di, 0), nx + min(di, 0))
-    it = slice(max(-di, 0), nx + min(-di, 0))
-    out[jt, it] = arr[js, is_]
-    return out
+def _gradient_floor(fld: ScalarField) -> float:
+    """GRADIENT_FLOOR times the field's final delta (1e-6 if unrecorded, >= 1e-12)."""
+    return GRADIENT_FLOOR * max(fld.meta.get("delta_final", 1e-6), 1e-12)
 
 
-def level_diagnostics(fld: ScalarField, vanish_tol: float | None = None) -> LevelDiagnostics:
+def level_diagnostics(fld: ScalarField) -> LevelDiagnostics:
     """Central-difference gradient, infinity-Laplacian and level-set curvature.
 
     curvature is positive where superlevel sets are convex; for a harmonic
     field the identity inf_lap = curvature * |grad|^3 (two dimensions) holds
-    up to the discrete Laplacian defect.
+    up to the discrete Laplacian defect. Nodes with |grad| below
+    `_gradient_floor` are vanishing and left out of the cells.
     """
     v = fld.values
     h = fld.grid.h
@@ -622,9 +617,7 @@ def level_diagnostics(fld: ScalarField, vanish_tol: float | None = None) -> Leve
     wxy = (vNE + vSW - vNW - vSE) / (4 * h ** 2)
     gn = np.hypot(wx, wy)
 
-    if vanish_tol is None:
-        vanish_tol = 10.0 * max(fld.meta.get("delta_final", 1e-6), 1e-12)
-    vanishing = ok & (gn < vanish_tol)
+    vanishing = ok & (gn < _gradient_floor(fld))
     cells = ok & ~vanishing
     # without a ring there is no depth, so nothing is trusted
     trusted = np.zeros_like(cells) if fld.ring is None else cells & fld.ring.trusted()
@@ -633,8 +626,7 @@ def level_diagnostics(fld: ScalarField, vanish_tol: float | None = None) -> Leve
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = -(wxx * wy ** 2 - 2 * wx * wy * wxy + wyy * wx ** 2) / gn ** 3
     lap = wxx + wyy
-    return LevelDiagnostics(wx, wy, gn, inf_lap, kappa, lap, cells, vanishing,
-                            vanish_tol, trusted)
+    return LevelDiagnostics(wx, wy, gn, inf_lap, kappa, lap, cells, vanishing, trusted)
 
 
 @dataclass(frozen=True)
@@ -683,15 +675,15 @@ def gradient_bounds(fld: ScalarField, ring: ConvexRing | None = None) -> Gradien
     return GradientBounds(c, C, int(gn_core.size), int(gn_near.size))
 
 
-def trace_flow_line(fld: ScalarField, x0, grad_floor: float | None = None,
-                    max_steps: int = 200_000):
+def trace_flow_line(fld: ScalarField, x0):
     """Gradient flow line through x0 parametrized by the level value.
 
     Integrates dx/ds = grad w / |grad w|^2 in both directions with midpoint
-    steps capped at half a cell, returning monotone (w, |grad w|) samples.
+    steps capped at half a cell, at most MAX_FLOW_STEPS each way, returning
+    monotone (w, |grad w|) samples; a gradient below `_gradient_floor` stops
+    the trace.
     """
-    if grad_floor is None:
-        grad_floor = 10.0 * max(fld.meta.get("delta_final", 1e-6), 1e-12)
+    grad_floor = _gradient_floor(fld)
     gx, gy = _node_gradients(fld)
     gx_f = fld.copy_with(gx)
     gy_f = fld.copy_with(gy)
@@ -706,7 +698,7 @@ def trace_flow_line(fld: ScalarField, x0, grad_floor: float | None = None,
     def trace(direction):
         out = []
         x = np.asarray(x0, dtype=float).copy()
-        for _ in range(max_steps):
+        for _ in range(MAX_FLOW_STEPS):
             w, cx, cy = sample(x)
             if not np.isfinite(w) or not np.isfinite(cx):
                 break

@@ -114,6 +114,25 @@ def test_verify_before_solve_exit_1(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "empty")]) == 1
 
 
+@pytest.mark.parametrize("text", [ANNULUS_65, CAP_97.replace("ring = inner", "ring = outer")],
+                         ids=["annulus", "cap_outer"])
+def test_verify_needs_the_solve_report(tmp_path, capsys, text):
+    cfg = write_config(tmp_path / "run.ini", text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = out / "solve_report.txt"
+    lines = report.read_text().splitlines()
+    report.unlink()
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert "solve_report.txt not found" in capsys.readouterr().err
+    for key in ("inner_value", "outer_value", "delta_final"):
+        report.write_text("".join(f"{line}\n" for line in lines
+                                  if not line.startswith(key + " ")))
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert f"no {key} line" in capsys.readouterr().err
+    assert not (out / "verify_summary.txt").exists()
+
+
 def test_solve_max_iter_one_exit_3(tmp_path):
     cfg = write_config(tmp_path / "run.ini", ANNULUS_65 + """
 [solver]
@@ -181,10 +200,26 @@ def test_fractional_count_exit_1(tmp_path, capsys, text, named):
     (ANNULUS_65 + "[barrier]\nzeta = feild\n", "[barrier] zeta"),
     (ANNULUS_65 + "[barrier]\nc_d = 0\n", "[barrier] c_d"),
     (ANNULUS_65 + "[barrier]\nc_d = -2\n", "[barrier] c_d"),
+    (ANNULUS_65.replace("p = 3.0", "p = 3.0\nt_max = 0"), "[function] t_max"),
+    (ANNULUS_65.replace("p = 3.0", "p = 3.0\nt_max = -5"), "[function] t_max"),
+    (ANNULUS_65.replace("p = 3.0", "p = 0.5"), "[function] p"),
+    (ANNULUS_65 + "[modulus]\nt_cap = 0\n", "[modulus] t_cap"),
+    (ANNULUS_65 + "[modulus]\na = 2\n", "[modulus] a"),
+    (ANNULUS_65 + "[modulus]\nkind = logpower\nq = 0\n", "[modulus] q"),
+    (ANNULUS_65.replace("r1 = 1.0", "r1 = 3.0"), "[geometry] r1"),
+    (ANNULUS_65.replace("resolution = 65", "resolution = 65\nextent = -1"),
+     "[grid] extent"),
+    (ANNULUS_65.replace("resolution = 65", "resolution = 65\nextent = 1.5"),
+     "[grid] extent"),
+    (CAP_97.replace("a = 0.5", "a = 0.5\nt_cap = 0.2"), "[geometry] r_d"),
+    (CAP_97.replace("r_d = 0.25", "r_d = 0"), "[geometry] r_d"),
 ], ids=["delta_below_1e-8", "delta_token", "delta_increasing", "delta_nan",
         "tol", "max_iter", "point_token", "radii_token", "point_one_number",
         "radii_negative", "alpha_token", "alpha_zero", "beta_negative", "beta_inf",
-        "target_token", "target_nan", "zeta_typo", "c_d_zero", "c_d_negative"])
+        "target_token", "target_nan", "zeta_typo", "c_d_zero", "c_d_negative",
+        "t_max_zero", "t_max_negative", "p_below_1", "t_cap_zero", "a_above_1",
+        "q_zero", "r1_above_r2", "extent_negative", "extent_cuts_ring",
+        "r_d_above_t_cap", "r_d_zero"])
 def test_bad_value_exit_1_before_any_work(tmp_path, capsys, text, named):
     cfg = write_config(tmp_path / "run.ini", text)
     for command in ("check", "solve"):

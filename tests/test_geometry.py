@@ -12,7 +12,7 @@ from hopflab import (DiniCap, Disk, Grid, LogPowerModulus, Mask, Polygon,
 from hopflab.geometry import _distance_to_polyline, convexity_midpoint_check
 from hopflab.gridio import read_grid_file, write_grid_file
 from hopflab.errors import (BadRadii, ContainmentViolated, GapTooSmall,
-                            TableTooCoarse)
+                            GridTooSmall, TableTooCoarse)
 
 
 # --- Dini moduli ------------------------------------------------------------
@@ -193,6 +193,12 @@ def test_reflected_cap_touches_origin():
 def test_annulus_bad_radii():
     with pytest.raises(BadRadii):
         make_annulus(2.0, 1.0)
+
+
+def test_grid_that_cuts_the_ring_is_refused():
+    # the 1.5 half-width grid ends inside the r2 = 2 disk
+    with pytest.raises(GridTooSmall, match="cuts the ring"):
+        make_annulus(1.0, 2.0, resolution=65, extent=1.5)
 
 
 def test_annulus_gap_too_small():
