@@ -322,7 +322,8 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
              f"gradient_C {gb.C!r}",
              f"inner_value {u.meta['inner_value']!r}",
              f"outer_value {u.meta['outer_value']!r}",
-             f"delta_final {u.meta['delta_final']!r}"]
+             f"delta_final {u.meta['delta_final']!r}",
+             "levels " + " ".join(f"{n}:{k}" for n, k in u.meta["levels"])]
     (out / "solve_report.txt").write_text("\n".join(lines) + "\n")
     print(f"solve: converged={u.meta['converged']} "
           f"residual={u.meta['residual']:.3e}")

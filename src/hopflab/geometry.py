@@ -133,7 +133,8 @@ class LogPowerModulus(DiniModulus):
 
     def eval(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.t_cap)
-        return (-np.log(t)) ** (-self.q)
+        with np.errstate(divide="ignore"):      # log(0) = -inf gives eps(0) = 0
+            return (-np.log(t)) ** (-self.q)
 
     def descriptor(self):
         return f"modulus logpower q {self.q!r} t_cap {self.t_cap!r}"
@@ -514,6 +515,10 @@ class ConvexRing:
             self._cache[key] = build(self)
         return self._cache[key]
 
+    def clear_cache(self):
+        """Drop every value stored by `cached`; the next use builds it again."""
+        self._cache.clear()
+
     def interior(self):
         return self.mask == Mask.INTERIOR
 
@@ -531,6 +536,14 @@ class ConvexRing:
         """Nodes at least two cells inside the ring: every stencil the
         certificates use there sees interior nodes only."""
         return self.cached("trusted", lambda r: r.interior_depth() >= 2)
+
+    def coarse(self) -> "ConvexRing":
+        """The same ring on every second node of this grid, with make_ring's
+        smoothing of one coarse cell; raises GapTooSmall or GridTooSmall
+        where make_ring does."""
+        g = self.grid
+        half = Grid(g.x0, g.y0, (g.nx + 1) // 2, (g.ny + 1) // 2, 2 * g.h)
+        return self.cached("coarse", lambda r: make_ring(r.inner, r.outer, half))
 
     def descriptor(self) -> str:
         out = io.StringIO()

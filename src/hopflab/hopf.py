@@ -148,12 +148,13 @@ class ComparisonReport:
     sol_residual_ok: bool
     worst_sub_residual: float
     worst_sol_residual: float
+    direction: str = "sub"      # the barrier is a sub- or a super-solution
 
     def to_text(self) -> str:
         return (f"comparison pass {self.passed}\n"
                 f"max_violation {self.max_violation!r}\n"
                 f"tol_cmp {self.tol_cmp!r}\n"
-                f"subsolution_residual_ok {self.sub_residual_ok} "
+                f"{self.direction}solution_residual_ok {self.sub_residual_ok} "
                 f"worst {self.worst_sub_residual!r}\n"
                 f"solution_residual_ok {self.sol_residual_ok} "
                 f"worst {self.worst_sol_residual!r}\n")
@@ -212,7 +213,7 @@ def comparison_check(u: ScalarField, v: ScalarField, of: OrliczFunction,
     loc = tuple(int(x) for x in np.unravel_index(k, diff.shape))
     passed = sub_ok and sol_ok and max_viol <= tol_cmp
     return ComparisonReport(passed, max_viol, tol_cmp, loc, sub_ok, sol_ok,
-                            sign * worst_sub, worst_sol)
+                            sign * worst_sub, worst_sol, direction)
 
 
 # --------------------------------------------------------------------------

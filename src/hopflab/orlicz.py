@@ -69,7 +69,7 @@ class OrliczFunction:
         dh = np.diff(hs)
         if np.any(dh <= 0):
             i = int(np.argmax(dh <= 0))
-            raise NonMonotone(f"h not strictly increasing near t = {ts[i + 1]!r}")
+            raise NonMonotone(f"h not strictly increasing near t = {float(ts[i + 1])!r}")
 
     # -- scalar/vector companions ------------------------------------------
 
@@ -200,6 +200,10 @@ def custom(h=None, table=None, t_max: float | None = None) -> OrliczFunction:
             raise NonMonotone("table abscissae must increase")
         if np.any(np.diff(hs) <= 0):
             raise NonMonotone("table values must increase strictly")
+        if t_max is not None and t_max > ts[-1]:
+            # h would be clamped flat above the table, so not increasing
+            raise OutOfRange(f"t_max = {t_max!r}: above the table's last abscissa "
+                             f"{float(ts[-1])!r}")
         spline = Pchip(ts, hs, extrapolate=False)
         spline_d = spline.derivative()
         return OrliczFunction("custom", lambda t: spline(np.clip(t, 0, ts[-1])),

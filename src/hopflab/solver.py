@@ -32,7 +32,7 @@ import numpy as np
 # scipy.sparse is imported inside the functions that use it, so commands that
 # solve nothing, such as `hopflab check`, do not pay for loading it.
 
-from .errors import DegenerateGradient, StagnationPoint
+from .errors import DegenerateGradient, GapTooSmall, GridTooSmall, StagnationPoint
 from .geometry import ConvexRing, Grid, Mask, _shift
 from .orlicz import OrliczFunction, power
 
@@ -44,6 +44,8 @@ _SEARCH = 1000            # boxes above this many nodes look for their shortest 
 _BALANCE = 0.35           # least share of a box's nodes on each side of that line
 GRADIENT_FLOOR = 10.0     # gradients below this many delta_final count as vanishing
 MAX_FLOW_STEPS = 200_000  # midpoint steps trace_flow_line takes in each direction
+COARSEST = 129            # least nodes a side of a grid that starts a finer solve
+TAIL = 2                  # last deltas of the schedule run on the finer grid
 
 
 @dataclass
@@ -450,37 +452,88 @@ def solve_h_potential(ring: ConvexRing, of: OrliczFunction,
 
     Continuation over the delta schedule regularizes the degenerate or
     singular gradient law; each stage runs damped Newton on the convex
-    discrete energy. Non-convergence is recorded on meta, not raised.
+    discrete energy. On grids of at least 2 * COARSEST - 1 nodes a side the
+    schedule first runs on the half grid (see `_continuation`); meta["log"]
+    holds the iterates on this ring's grid, meta["levels"] the iterates per
+    grid. Non-convergence is recorded on meta, not raised.
     """
     opts = opts or SolveOptions()
     _coercivity_warning(of)
+    u, J, converged, log, levels = _continuation(ring, of, opts, inner_value, outer_value)
     asm = _assembly(ring)
-    q0 = asm.closure_offset(inner_value, outer_value)
-    u = _harmonic_unknowns(ring, inner_value, outer_value)     # warm start
-
-    log = []
-    converged = True
-    it_total = 0
-    J = None
-    for delta in opts.delta_schedule:
-        u, J, stage_ok, stage_log = _newton_stage(asm, of, q0, u, delta, opts)
-        for entry in stage_log:
-            log.append((it_total, delta) + entry)
-            it_total += 1
-        if not stage_ok:
-            converged = False
-            break
-
-    v = asm.full_values(u, q0)
+    v = asm.full_values(u, asm.closure_offset(inner_value, outer_value))
     res = float(np.max(np.abs(asm.residual_rows(v, of, opts.delta_schedule[-1])))) \
         / asm.h ** 2
     meta = {"converged": converged, "residual": res,
             "delta_final": opts.delta_schedule[-1],
-            "energy": J, "log": log,
+            "energy": J, "log": log, "levels": levels,
             "inner_value": inner_value, "outer_value": outer_value,
             "operator": f"power{of.p}" if of.kind == "power" else "custom"}
     values = v.reshape(ring.grid.ny, ring.grid.nx)
     return ScalarField(ring.grid, values, ring.mask.copy(), ring, meta)
+
+
+def _continuation(ring, of, opts, inner_value, outer_value):
+    """Newton continuation on ring: (interior unknowns, energy, converged,
+    log, levels).
+
+    Nested iteration (Brandt, Math. Comp. 31, 1977): when ring.coarse()
+    solves the whole schedule, its solution is the start of the last TAIL
+    stages here; otherwise the whole schedule runs here from the harmonic.
+    The log holds this grid's iterates only; levels lists (nodes a side,
+    logged iterates) of each grid whose solution fed this one, coarsest
+    first, this grid last."""
+    start = _coarse_start(ring, of, opts, inner_value, outer_value)
+    if start is None:
+        u, levels = _harmonic_unknowns(ring, inner_value, outer_value), []
+        schedule = opts.delta_schedule
+    else:
+        (u, levels), schedule = start, opts.delta_schedule[-TAIL:]
+    asm = _assembly(ring)
+    q0 = asm.closure_offset(inner_value, outer_value)
+    log = []
+    converged = True
+    J = None
+    for delta in schedule:
+        u, J, stage_ok, stage_log = _newton_stage(asm, of, q0, u, delta, opts)
+        log += [(len(log) + k, delta) + entry for k, entry in enumerate(stage_log)]
+        if not stage_ok:
+            converged = False
+            break
+    return u, J, converged, log, levels + [(ring.grid.nx, len(log))]
+
+
+def _coarse_start(ring, of, opts, inner_value, outer_value):
+    """(interior unknowns, levels) prolongated from the whole schedule solved
+    on ring.coarse(), or None where that grid would have fewer than
+    COARSEST nodes a side, the schedule has at most TAIL deltas, the coarse
+    ring cannot be built, or its solve does not converge.
+
+    The coarse field is interpolated bilinearly; interior nodes whose
+    stencil leaves the coarse ring take the harmonic with the same data."""
+    g = ring.grid
+    if min(g.nx + 1, g.ny + 1) // 2 < COARSEST or len(opts.delta_schedule) <= TAIL:
+        return None
+    try:
+        coarse = ring.coarse()
+    except (GapTooSmall, GridTooSmall):
+        return None
+    try:
+        u, _, ok, _, levels = _continuation(coarse, of, opts, inner_value, outer_value)
+        if not ok:
+            return None
+        casm = _assembly(coarse)
+        v = casm.full_values(u, casm.closure_offset(inner_value, outer_value))
+        fld = ScalarField(coarse.grid, v.reshape(coarse.grid.ny, coarse.grid.nx),
+                          coarse.mask)
+        u = fld.interp(g.points().reshape(-1, 2)[_assembly(ring).interior_ids])
+    finally:
+        # the coarse solver data would otherwise stay alive, through the
+        # ring's cache, during every factorisation on this grid
+        coarse.clear_cache()
+    outside = np.isnan(u)
+    u[outside] = _harmonic_unknowns(ring, inner_value, outer_value)[outside]
+    return u, levels
 
 
 def _newton_stage(asm, of, q0, u, delta, opts):

@@ -85,6 +85,18 @@ table = /nonexistent/table.csv
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
 
 
+def test_custom_law_t_max_above_table_exit_1(tmp_path, capsys):
+    ts = np.geomspace(1e-3, 100.0, 200)
+    table = tmp_path / "law.csv"
+    table.write_text("t,h\n" + "".join(f"{t!r},{2 * t!r}\n" for t in ts.tolist()))
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65.replace(
+        "kind = power\np = 3.0", f"kind = custom\ntable = {table}\nt_max = 1000"))
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "[function] t_max" in err and "np.float64" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_resolution_exit_1(tmp_path):
     cfg = write_config(tmp_path / "run.ini", "[grid]\nresolution = 9\n")
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy.spatial import cKDTree
 
 from hopflab import (DiniCap, Disk, Grid, LogPowerModulus, Mask, Polygon,
                      PowerModulus, Reflected, TableModulus, build_dini_cap,
-                     dini_report, make_annulus, make_ring, make_rings, rasterize)
+                     dini_report, make_annulus, make_cap_ring, make_ring, make_rings,
+                     rasterize)
 from hopflab.geometry import _distance_to_polyline, convexity_midpoint_check
 from hopflab.gridio import read_grid_file, write_grid_file
 from hopflab.errors import (BadRadii, ContainmentViolated, GapTooSmall,
@@ -16,6 +18,16 @@ from hopflab.errors import (BadRadii, ContainmentViolated, GapTooSmall,
 
 
 # --- Dini moduli ------------------------------------------------------------
+
+def test_log_power_cap_ring_builds_without_warnings():
+    # the cap's level evaluates the modulus at t = 0, where eps(0) = 0
+    eps = LogPowerModulus(2.0)
+    assert eps.eval(np.array([0.0]))[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for side in ("inner", "outer"):
+            make_cap_ring(build_dini_cap(0.25, eps), 0.25, side, resolution=65)
+
 
 def test_dini_power_half_integral():
     rep = dini_report(PowerModulus(0.5), 1.0)

@@ -203,6 +203,16 @@ def test_super_comparison_boundary_precondition(outer_quadratic):
         comparison_check(u, below, of, direction="super")
 
 
+def test_residual_label_follows_direction(annulus129, outer_quadratic):
+    ring, of, u, w, prof = outer_quadratic
+    sup = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier_profile=prof,
+                                harmonic=w).to_text()
+    u3 = solve_h_potential(annulus129, power(3.0))
+    sub = comparison_check(u3, u3, power(3.0)).to_text()
+    assert "\nsupersolution_residual_ok " in sup and "subsolution" not in sup
+    assert "\nsubsolution_residual_ok " in sub and "supersolution" not in sub
+
+
 def test_lipschitz_bump_above_super_barrier_fails(outer_quadratic):
     ring, of, u, w, prof = outer_quadratic
     clean = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier_profile=prof,

@@ -28,6 +28,12 @@ def test_custom_rejects_decreasing_table():
         custom(table=(ts, np.array([0.0, 1.0, 0.5, 2.0])))
 
 
+def test_nonmonotone_message_prints_a_plain_float():
+    with pytest.raises(NonMonotone, match=r"near t = \d") as exc:
+        custom(h=lambda t: np.sin(t), t_max=10.0)
+    assert "np.float64" not in str(exc.value)
+
+
 def test_custom_rejects_nonzero_origin():
     with pytest.raises(NonzeroOrigin):
         custom(h=lambda t: t + 0.5, t_max=10.0)

@@ -2,11 +2,13 @@
 both rings of random Dini caps, on grids of 65 to 97 nodes a side."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopflab import (Disk, Grid, LogPowerModulus, PowerModulus, build_dini_cap,
-                     make_cap_ring, make_ring, solve_harmonic)
+from hopflab import (Disk, Grid, LogPowerModulus, PowerModulus, SolveOptions,
+                     build_dini_cap, make_cap_ring, make_ring, power,
+                     solve_h_potential, solve_harmonic, solver)
 
 
 @st.composite
@@ -50,3 +52,24 @@ def test_random_ring_invariants(build):
         assert np.array_equal(getattr(again.ghosts, name), getattr(ring.ghosts, name))
     assert again.gap == ring.gap
     assert np.array_equal(solve_harmonic(again).values, w.values)
+
+
+@settings(max_examples=6, deadline=None)
+@given(build=ring_builders())
+def test_multilevel_solve_matches_single_level(build):
+    # grids of 65-97 nodes a side start from one of 33-49; the single-level
+    # reference runs to tol 1e-10, since at the default tol it stops up to
+    # 2.6e-9 away from its own limit on these rings, and the multilevel solve
+    # (whose fine stages start closer) within 1e-11 of it
+    ring = build()
+    of = power(3.0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "COARSEST", 33)
+        u = solve_h_potential(ring, of)
+        again = solve_h_potential(build(), of)
+        m.setattr(solver, "COARSEST", 10 ** 9)
+        single = solve_h_potential(build(), of, SolveOptions(tol=1e-10))
+    assert u.meta["converged"] and single.meta["converged"]
+    assert float(np.max(np.abs(u.values - single.values))) <= 1e-9
+    assert np.array_equal(again.values, u.values)
+    assert again.meta["log"] == u.meta["log"]

@@ -543,6 +543,68 @@ def test_heap_trim_is_a_no_op_without_malloc_trim(monkeypatch):
     assert solver._heap_trim()(0) == 0
 
 
+# --- nested iteration ----------------------------------------------------------
+
+def _single_level(monkeypatch, solve):
+    """solve() with every grid solving the whole schedule on its own."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "COARSEST", 10 ** 9)
+        return solve()
+
+
+@pytest.mark.parametrize("name", ["annulus257", "cap_outer257"])
+def test_multilevel_solve_matches_single_level(name, request, monkeypatch):
+    ring = _ring(name, request)
+    data = (1.0, 0.0) if name == "annulus257" else (0.0, 1.0)
+    of = power(3.0)
+    single = _single_level(monkeypatch, lambda: solve_h_potential(ring, of, None, *data))
+    n_fine = solver._assembly(ring).n_unknown
+    fresh = dataclasses.replace(ring, _cache={})    # so its Laplace solve counts too
+    calls = _count_factorisations(monkeypatch)
+    u = solve_h_potential(fresh, of, None, *data)
+    assert u.meta["converged"] and single.meta["converged"]
+    assert [n for n, _ in u.meta["levels"]] == [129, 257]
+    assert u.meta["levels"][-1][1] == len(u.meta["log"])
+    assert {d for _, d, _, _ in u.meta["log"]} == set(SolveOptions().delta_schedule[-2:])
+    assert float(np.max(np.abs(u.values - single.values))) <= 1e-9
+    if name == "annulus257":
+        interior = u.interior_mask()
+        exact = radial_potential(annulus_radius(ring), 3.0)
+        err = [float(np.max(np.abs(f.values - exact)[interior])) for f in (u, single)]
+        assert err[0] <= err[1] + 1e-12
+    # the fine grid factorises once for the harmonic and once per Newton step
+    fine = [args[0] for args in calls if args[0].shape[0] == n_fine]
+    assert len(fine) == 1 + len(u.meta["log"]) - solver.TAIL
+    assert len(calls) > len(fine)
+
+
+def test_no_coarse_ring_falls_back_to_single_level(monkeypatch):
+    # a gap of 0.1 holds two cells of the 65 grid but not of the 33 one
+    ring = make_annulus(1.0, 1.1, resolution=65)
+    monkeypatch.setattr(solver, "COARSEST", 33)
+    u = solve_h_potential(ring, power(3.0))
+    ref = _single_level(monkeypatch, lambda: solve_h_potential(
+        dataclasses.replace(ring, _cache={}), power(3.0)))
+    assert u.meta["levels"] == [(65, len(u.meta["log"]))]
+    assert u.meta["converged"] and np.array_equal(u.values, ref.values)
+
+
+def test_coarse_nonconvergence_is_recorded(tmp_path):
+    from hopflab.cli import main
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[function]\nkind = power\np = 3.0\n\n[geometry]\nkind = annulus\n\n"
+                   "[grid]\nresolution = 257\n\n[solver]\nmax_iter = 1\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    report = (out / "solve_report.txt").read_text().splitlines()
+    assert "converged False" in report
+    # the coarse level failed, so the fine grid ran the schedule from its start
+    assert "levels 257:1" in report
+    rows = (out / "convergence.csv").read_text().splitlines()
+    assert len(rows) == 2 and float(rows[1].split(",")[1]) == 0.1
+    assert (out / "potential.grid").exists()
+
+
 def test_gradient_bounds_degenerate(annulus129):
     u = solve_h_potential(annulus129, power(2.0), inner_value=1.0, outer_value=1.0)
     with pytest.raises(DegenerateGradient):
