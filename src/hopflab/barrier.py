@@ -241,7 +241,8 @@ def build_barrier(of: OrliczFunction, zeta: ZetaProfile, m: float,
     knots = _barrier_knots(zeta)
     # anchor the cumulative at w = 0 so that f'(0) = m holds exactly
     I = zeta.integral(knots) - zeta.integral(np.array([0.0]))[()]
-    h_bm = float(of.h(np.array([beta * m]))[0])
+    with np.errstate(over="ignore"):        # an infinite h(beta m) is refused below
+        h_bm = float(of.h(np.array([beta * m]))[0])
     with np.errstate(over="raise"):
         try:
             arg = h_bm * np.exp((beta / alpha) * I)

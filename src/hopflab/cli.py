@@ -12,7 +12,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +50,50 @@ class RunConfig:
     beta: str = "auto"
     hopf_point: tuple | None = None
     hopf_radii: tuple | None = None
-    seed: int = 20240817
-    raw: dict = field(default_factory=dict)
+
+
+def _numbers(text):
+    """Numbers separated by whitespace; None (keep the default) when empty."""
+    return tuple(float(x) for x in text.split()) or None
+
+
+def _whole(text):
+    """A whole number: 257 and 257.0 parse, 100.7 is refused."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+# every config key: (section, key) -> (RunConfig field, reader of its text);
+# keys are read in this order, and anything else in the file is refused
+_KEYS = {
+    ("function", "kind"): ("function_kind", str),
+    ("function", "p"): ("p", float),
+    ("function", "t_max"): ("t_max", float),
+    ("function", "table"): ("table_path", str),
+    ("modulus", "kind"): ("modulus_kind", str),
+    ("modulus", "a"): ("modulus_a", float),
+    ("modulus", "q"): ("modulus_q", float),
+    ("modulus", "t_cap"): ("modulus_t_cap", float),
+    ("geometry", "kind"): ("geometry_kind", str),
+    ("geometry", "r1"): ("r1", float),
+    ("geometry", "r2"): ("r2", float),
+    ("geometry", "r_d"): ("r_d", float),
+    ("geometry", "ring"): ("ring_side", str),
+    ("grid", "resolution"): ("resolution", _whole),
+    ("grid", "extent"): ("extent", float),
+    ("solver", "delta_schedule"): ("delta_schedule", _numbers),
+    ("solver", "tol"): ("tol", float),
+    ("solver", "max_iter"): ("max_iter", _whole),
+    ("barrier", "zeta"): ("zeta_source", str),
+    ("barrier", "c_d"): ("c_d", float),
+    ("barrier", "target"): ("target", str),
+    ("barrier", "alpha"): ("alpha", str),
+    ("barrier", "beta"): ("beta", str),
+    ("hopf", "point"): ("hopf_point", _numbers),
+    ("hopf", "radii"): ("hopf_radii", _numbers),
+}
 
 
 def parse_config(path, grid_override=None, p_override=None) -> RunConfig:
@@ -65,34 +107,22 @@ def parse_config(path, grid_override=None, p_override=None) -> RunConfig:
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        g = _Getter(parser)
-        cfg.function_kind = g.str("function", "kind", cfg.function_kind)
-        cfg.p = g.flt("function", "p", cfg.p)
-        cfg.t_max = g.flt("function", "t_max", cfg.t_max)
-        cfg.table_path = g.str("function", "table", None)
-        cfg.modulus_kind = g.str("modulus", "kind", cfg.modulus_kind)
-        cfg.modulus_a = g.flt("modulus", "a", cfg.modulus_a)
-        cfg.modulus_q = g.flt("modulus", "q", cfg.modulus_q)
-        cfg.modulus_t_cap = g.flt("modulus", "t_cap", None)
-        cfg.geometry_kind = g.str("geometry", "kind", cfg.geometry_kind)
-        cfg.r1 = g.flt("geometry", "r1", cfg.r1)
-        cfg.r2 = g.flt("geometry", "r2", cfg.r2)
-        cfg.r_d = g.flt("geometry", "r_d", cfg.r_d)
-        cfg.ring_side = g.str("geometry", "ring", cfg.ring_side)
-        cfg.resolution = g.count("grid", "resolution", cfg.resolution)
-        cfg.extent = g.flt("grid", "extent", None)
-        cfg.delta_schedule = g.floats("solver", "delta_schedule", cfg.delta_schedule)
-        cfg.tol = g.flt("solver", "tol", cfg.tol)
-        cfg.max_iter = g.count("solver", "max_iter", cfg.max_iter)
-        cfg.zeta_source = g.str("barrier", "zeta", cfg.zeta_source)
-        cfg.c_d = g.flt("barrier", "c_d", cfg.c_d)
-        cfg.target = g.str("barrier", "target", cfg.target)
-        cfg.alpha = g.str("barrier", "alpha", cfg.alpha)
-        cfg.beta = g.str("barrier", "beta", cfg.beta)
-        cfg.hopf_point = g.floats("hopf", "point", None)
-        cfg.hopf_radii = g.floats("hopf", "radii", None)
-        cfg.seed = g.count("run", "seed", cfg.seed)
-        g.reject_unread()
+        for (sec, key), (name, read) in _KEYS.items():
+            if parser.has_option(sec, key):
+                try:
+                    value = read(parser.get(sec, key).strip())
+                except ValueError as exc:
+                    raise ConfigError(f"[{sec}] {key}: {exc}") from exc
+                if value is not None:
+                    setattr(cfg, name, value)
+        known = {sec for sec, _ in _KEYS}
+        for sec in parser.sections():
+            if sec not in known:
+                raise ConfigError(f"unknown config section [{sec}]")
+        for sec in parser:       # [DEFAULT] first; its keys reach every section
+            for key in parser[sec]:
+                if (sec, key) not in _KEYS:
+                    raise ConfigError(f"unknown config key [{sec}] {key}")
 
     if grid_override is not None:
         cfg.resolution = int(grid_override)
@@ -100,57 +130,6 @@ def parse_config(path, grid_override=None, p_override=None) -> RunConfig:
         cfg.p = float(p_override)
     _validate(cfg)
     return cfg
-
-
-class _Getter:
-    """Typed reads from the parsed file; it remembers every (section, key)
-    asked for, so anything else in the file can be refused."""
-
-    def __init__(self, parser):
-        self.parser = parser
-        self.read = set()
-
-    def reject_unread(self):
-        known = {sec for sec, _ in self.read}
-        for sec in self.parser.sections():
-            if sec not in known:
-                raise ConfigError(f"unknown config section [{sec}]")
-        for sec in self.parser:       # [DEFAULT] first; its keys reach every section
-            for key in self.parser[sec]:
-                if (sec, key) not in self.read:
-                    raise ConfigError(f"unknown config key [{sec}] {key}")
-
-    def str(self, sec, key, default):
-        self.read.add((sec, key))
-        if self.parser.has_option(sec, key):
-            return self.parser.get(sec, key).strip()
-        return default
-
-    def flt(self, sec, key, default):
-        self.read.add((sec, key))
-        if self.parser.has_option(sec, key):
-            try:
-                return float(self.parser.get(sec, key))
-            except ValueError as exc:
-                raise ConfigError(f"[{sec}] {key}: {exc}") from exc
-        return default
-
-    def floats(self, sec, key, default):
-        """Numbers separated by whitespace; an empty value means default."""
-        text = self.str(sec, key, None)
-        if not text:
-            return default
-        try:
-            return tuple(float(x) for x in text.split())
-        except ValueError as exc:
-            raise ConfigError(f"[{sec}] {key}: {exc}") from exc
-
-    def count(self, sec, key, default):
-        """A whole number: 257 and 257.0 parse, 100.7 is refused."""
-        value = self.flt(sec, key, default)
-        if not float(value).is_integer():
-            raise ConfigError(f"[{sec}] {key}: {value!r} is not a whole number")
-        return int(value)
 
 
 def _validate(cfg: RunConfig):
@@ -284,8 +263,7 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
     eps = _build_modulus(cfg)
     dini = geometry.dini_report(eps, min(1.0, eps.t_cap))
 
-    (out / "conditions.txt").write_text(
-        f"seed {cfg.seed}\n" + "".join(r.to_text() for r in reports))
+    (out / "conditions.txt").write_text("".join(r.to_text() for r in reports))
     (out / "dini_report.txt").write_text(dini.to_text())
     ok = all(r.passed for r in reports) and dini.converges and dini.convex_dini
     print(f"check: {'pass' if ok else 'FAIL'} "
@@ -413,8 +391,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
                f"comparison {cmp_rep.passed}",
                f"hopf {hopf_rep.passed}",
                f"alpha {alpha!r}", f"beta {beta!r}",
-               f"f1 {prof.f1!r}", f"m {prof.m!r}",
-               f"seed {cfg.seed}"]
+               f"f1 {prof.f1!r}", f"m {prof.m!r}"]
     (out / "verify_summary.txt").write_text("\n".join(summary) + "\n")
     print(f"verify: {'pass' if ok else 'FAIL'} (subsolution={sub.all_pass} "
           f"comparison={cmp_rep.passed} hopf={hopf_rep.passed})")

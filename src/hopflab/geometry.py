@@ -327,9 +327,6 @@ class Disk(ConvexDomain):
     def signed_distance(self, pts, smoothing: float = 0.0):
         return self.level(pts)
 
-    def anchor(self):
-        return self.center
-
     def bbox(self):
         cx, cy = self.center
         r = self.radius
@@ -373,10 +370,6 @@ class Polygon(ConvexDomain):
         lev = self.level(p)
         d_out = _distance_to_polyline(p, self.vertices)
         return np.where(lev < 0, lev, d_out)
-
-    def anchor(self):
-        c = self.vertices.mean(axis=0)
-        return (float(c[0]), float(c[1]))
 
     def bbox(self):
         v = self.vertices
@@ -445,10 +438,6 @@ class Reflected(ConvexDomain):
     def level(self, pts, smoothing: float = 0.0):
         return self.base.level(-np.asarray(pts, dtype=float), smoothing)
 
-    def anchor(self):
-        ax, ay = self.base.anchor()
-        return (-ax, -ay)
-
     def bbox(self):
         (x0, x1), (y0, y1) = self.base.bbox()
         return (-x1, -x0), (-y1, -y0)
@@ -515,10 +504,6 @@ class ConvexRing:
             self._cache[key] = build(self)
         return self._cache[key]
 
-    def clear_cache(self):
-        """Drop every value stored by `cached`; the next use builds it again."""
-        self._cache.clear()
-
     def interior(self):
         return self.mask == Mask.INTERIOR
 
@@ -536,14 +521,6 @@ class ConvexRing:
         """Nodes at least two cells inside the ring: every stencil the
         certificates use there sees interior nodes only."""
         return self.cached("trusted", lambda r: r.interior_depth() >= 2)
-
-    def coarse(self) -> "ConvexRing":
-        """The same ring on every second node of this grid, with make_ring's
-        smoothing of one coarse cell; raises GapTooSmall or GridTooSmall
-        where make_ring does."""
-        g = self.grid
-        half = Grid(g.x0, g.y0, (g.nx + 1) // 2, (g.ny + 1) // 2, 2 * g.h)
-        return self.cached("coarse", lambda r: make_ring(r.inner, r.outer, half))
 
     def descriptor(self) -> str:
         out = io.StringIO()

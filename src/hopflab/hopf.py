@@ -278,9 +278,10 @@ def outer_lipschitz_check(u: ScalarField, ring: ConvexRing, of: OrliczFunction,
             "delta_final": w.meta.get("delta_final", 1e-6)})
         comparison = comparison_check(u, vbar, of, direction="super")
 
-    dist_k = np.maximum(ring.sdf("inner"), 0.0)
-    sel = near & (dist_k > 0.5 * ring.grid.h)
-    C = float(np.max(u.values[sel] / (M * dist_k[sel]))) if sel.any() else np.inf
+    # dist(x, K1), measured on the reference ball only
+    dist_k = np.maximum(ring.inner.signed_distance(pts[near], smoothing=ring.grid.h), 0.0)
+    sel = dist_k > 0.5 * ring.grid.h
+    C = float(np.max(u.values[near][sel] / (M * dist_k[sel]))) if sel.any() else np.inf
     passed = np.isfinite(C) and (comparison is None or comparison.passed)
     return LipschitzReport(C, M, passed, comparison, int(sel.sum()))
 

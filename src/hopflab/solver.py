@@ -33,7 +33,7 @@ import numpy as np
 # solve nothing, such as `hopflab check`, do not pay for loading it.
 
 from .errors import DegenerateGradient, GapTooSmall, GridTooSmall, StagnationPoint
-from .geometry import ConvexRing, Grid, Mask, _shift
+from .geometry import ConvexRing, Grid, Mask, _shift, make_ring
 from .orlicz import OrliczFunction, power
 
 _G_LOWER = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])   # slots (A, B, C)
@@ -205,19 +205,22 @@ class _Assembly:
         v[self._ghost_index] += self._ghost_weight * u[self._ghost_column]
         return v
 
-    def energy(self, v_full, of: OrliczFunction, delta: float) -> float:
-        total = 0.0
+    def _faces(self, v_full, delta: float):
+        """Per triangle list: (triangles, G, face gradients g of shape (n, 2),
+        regularised |g| = sqrt(|g|^2 + delta^2))."""
         for tri, G in zip(self.tris, self.gmats):
             g = v_full[tri] @ G.T
-            q = np.sqrt(g[:, 0] ** 2 + g[:, 1] ** 2 + delta * delta)
+            yield tri, G, g, np.sqrt(g[:, 0] ** 2 + g[:, 1] ** 2 + delta * delta)
+
+    def energy(self, v_full, of: OrliczFunction, delta: float) -> float:
+        total = 0.0
+        for _, _, _, q in self._faces(v_full, delta):
             total += float(np.sum(of.F(np.minimum(q, of.t_max)))) * self.area
         return total
 
     def gradient_full(self, v_full, of: OrliczFunction, delta: float):
         grad = np.zeros(self.n_nodes)
-        for tri, G in zip(self.tris, self.gmats):
-            g = v_full[tri] @ G.T
-            q = np.sqrt(g[:, 0] ** 2 + g[:, 1] ** 2 + delta * delta)
+        for tri, G, g, q in self._faces(v_full, delta):
             qs = np.maximum(q, 1e-30)
             Hq = of.h(np.minimum(qs, of.t_max)) / qs
             contrib = (self.area * Hq)[:, None] * (g @ G)
@@ -231,16 +234,14 @@ class _Assembly:
         or NE coupling of that neighbour, since the Hessian is symmetric."""
         S = np.zeros(len(_COUPLINGS) * self.n_nodes + 1)
         rows = S[:-1].reshape(len(_COUPLINGS), self.n_nodes)
-        for tri, G, pairs in zip(self.tris, self.gmats, _TRIANGLE_PAIRS):
+        for (tri, G, g, q), pairs in zip(self._faces(v_full, delta), _TRIANGLE_PAIRS):
             nodes = tri.T                   # (3, n): slot-major
-            g = G @ v_full[nodes]           # (2, n)
-            q = np.sqrt(g[0] ** 2 + g[1] ** 2 + delta * delta)
             qs = np.minimum(np.maximum(q, 1e-30), of.t_max)
             hv = of.h(qs)
             hp = of.h_prime(qs)
             aHq = self.area * (hv / qs)
             aDq = self.area * ((hp * qs - hv) / qs ** 3)
-            a = G.T @ g                     # (3, n): per-slot directional terms
+            a = (g @ G).T                   # (3, n): per-slot directional terms
             base = G.T @ G                  # (3, 3)
             for k, s, t in pairs:
                 np.add.at(rows[k], nodes[s], aHq * base[s, t] + aDq * a[t] * a[s])
@@ -256,8 +257,7 @@ class _Assembly:
 
     def flux_scale(self, v_full, of, delta) -> float:
         """flux_scale over the face gradients of both triangle lists."""
-        g = np.concatenate([v_full[tri] @ G.T for tri, G in zip(self.tris, self.gmats)])
-        q = np.sqrt(g[:, 0] ** 2 + g[:, 1] ** 2 + delta * delta)
+        q = np.concatenate([q for _, _, _, q in self._faces(v_full, delta)])
         return flux_scale(q, of, self.gap)
 
     def jacobian_rows(self, v_full, of, delta):
@@ -429,20 +429,14 @@ def solve_harmonic(ring: ConvexRing, opts: SolveOptions | None = None,
     opts = opts or SolveOptions()
     asm = _assembly(ring)
     of = _QUADRATIC
-    q0 = asm.closure_offset(inner_value, outer_value)
-    v = asm.full_values(_harmonic_unknowns(ring, inner_value, outer_value), q0)
-    res = float(np.max(np.abs(asm.residual_rows(v, of, 0.0)))) / asm.h ** 2
+    fld = _solved_field(ring, _harmonic_unknowns(ring, inner_value, outer_value), of, 0.0,
+                        inner_value, outer_value)
+    v, res = fld.values.ravel(), fld.meta["residual"]
     scale = max(1.0, asm.flux_scale(v, of, 0.0))
-    values = v.reshape(ring.grid.ny, ring.grid.nx)
     energy = asm.energy(v, of, 0.0)
-    meta = {"converged": res < max(opts.tol, 1e-7) * scale,
-            "residual": res,
-            "delta_final": 0.0,
-            "energy": energy,
-            "log": [(0, 0.0, energy, res)],
-            "inner_value": inner_value, "outer_value": outer_value,
-            "operator": "power2"}
-    return ScalarField(ring.grid, values, ring.mask.copy(), ring, meta)
+    fld.meta.update(converged=res < max(opts.tol, 1e-7) * scale, energy=energy,
+                    log=[(0, 0.0, energy, res)], operator="power2")
+    return fld
 
 
 def solve_h_potential(ring: ConvexRing, of: OrliczFunction,
@@ -460,35 +454,45 @@ def solve_h_potential(ring: ConvexRing, of: OrliczFunction,
     opts = opts or SolveOptions()
     _coercivity_warning(of)
     u, J, converged, log, levels = _continuation(ring, of, opts, inner_value, outer_value)
+    fld = _solved_field(ring, u, of, opts.delta_schedule[-1], inner_value, outer_value)
+    fld.meta.update(converged=converged, energy=J, log=log, levels=levels,
+                    operator=f"power{of.p}" if of.kind == "power" else "custom")
+    return fld
+
+
+def _solved_field(ring, u, of, delta, inner_value, outer_value) -> ScalarField:
+    """The field of interior unknowns u on ring, with the ghost closure of the
+    data; meta holds the residual max-norm over h^2 at this delta, the data
+    and delta_final."""
     asm = _assembly(ring)
     v = asm.full_values(u, asm.closure_offset(inner_value, outer_value))
-    res = float(np.max(np.abs(asm.residual_rows(v, of, opts.delta_schedule[-1])))) \
-        / asm.h ** 2
-    meta = {"converged": converged, "residual": res,
-            "delta_final": opts.delta_schedule[-1],
-            "energy": J, "log": log, "levels": levels,
-            "inner_value": inner_value, "outer_value": outer_value,
-            "operator": f"power{of.p}" if of.kind == "power" else "custom"}
-    values = v.reshape(ring.grid.ny, ring.grid.nx)
-    return ScalarField(ring.grid, values, ring.mask.copy(), ring, meta)
+    res = float(np.max(np.abs(asm.residual_rows(v, of, delta)))) / asm.h ** 2
+    meta = {"residual": res, "delta_final": delta,
+            "inner_value": inner_value, "outer_value": outer_value}
+    return ScalarField(ring.grid, v.reshape(ring.grid.ny, ring.grid.nx),
+                       ring.mask.copy(), ring, meta)
 
 
 def _continuation(ring, of, opts, inner_value, outer_value):
     """Newton continuation on ring: (interior unknowns, energy, converged,
     log, levels).
 
-    Nested iteration (Brandt, Math. Comp. 31, 1977): when ring.coarse()
-    solves the whole schedule, its solution is the start of the last TAIL
-    stages here; otherwise the whole schedule runs here from the harmonic.
-    The log holds this grid's iterates only; levels lists (nodes a side,
-    logged iterates) of each grid whose solution fed this one, coarsest
-    first, this grid last."""
+    Nested iteration (Brandt, Math. Comp. 31, 1977): when the half grid
+    solves the whole schedule (see `_coarse_start`), its solution is the
+    start of the last TAIL stages here; otherwise the whole schedule runs
+    here from the harmonic. The log holds this grid's iterates only; levels
+    lists (nodes a side, logged iterates) of each grid whose solution fed
+    this one, coarsest first, this grid last."""
     start = _coarse_start(ring, of, opts, inner_value, outer_value)
+    # the coarse ring and its solver data are gone by now, so they do not
+    # stay alive during any factorisation on this grid
+    u = _harmonic_unknowns(ring, inner_value, outer_value)
     if start is None:
-        u, levels = _harmonic_unknowns(ring, inner_value, outer_value), []
-        schedule = opts.delta_schedule
+        levels, schedule = [], opts.delta_schedule
     else:
-        (u, levels), schedule = start, opts.delta_schedule[-TAIL:]
+        # interior nodes whose stencil leaves the coarse ring keep the harmonic
+        (coarse_u, levels), schedule = start, opts.delta_schedule[-TAIL:]
+        u = np.where(np.isnan(coarse_u), u, coarse_u)
     asm = _assembly(ring)
     q0 = asm.closure_offset(inner_value, outer_value)
     log = []
@@ -504,36 +508,28 @@ def _continuation(ring, of, opts, inner_value, outer_value):
 
 
 def _coarse_start(ring, of, opts, inner_value, outer_value):
-    """(interior unknowns, levels) prolongated from the whole schedule solved
-    on ring.coarse(), or None where that grid would have fewer than
-    COARSEST nodes a side, the schedule has at most TAIL deltas, the coarse
-    ring cannot be built, or its solve does not converge.
+    """(interior unknowns, levels) interpolated bilinearly from the whole
+    schedule solved on the same ring over every second node of its grid,
+    NaN where the stencil leaves the coarse ring; None where that grid would
+    have fewer than COARSEST nodes a side, the schedule has at most TAIL
+    deltas, the coarse ring cannot be built, or its solve does not converge.
 
-    The coarse field is interpolated bilinearly; interior nodes whose
-    stencil leaves the coarse ring take the harmonic with the same data."""
+    Each level keeps make_ring's smoothing of one of its own cells."""
     g = ring.grid
     if min(g.nx + 1, g.ny + 1) // 2 < COARSEST or len(opts.delta_schedule) <= TAIL:
         return None
     try:
-        coarse = ring.coarse()
+        coarse = make_ring(ring.inner, ring.outer,
+                           Grid(g.x0, g.y0, (g.nx + 1) // 2, (g.ny + 1) // 2, 2 * g.h))
     except (GapTooSmall, GridTooSmall):
         return None
-    try:
-        u, _, ok, _, levels = _continuation(coarse, of, opts, inner_value, outer_value)
-        if not ok:
-            return None
-        casm = _assembly(coarse)
-        v = casm.full_values(u, casm.closure_offset(inner_value, outer_value))
-        fld = ScalarField(coarse.grid, v.reshape(coarse.grid.ny, coarse.grid.nx),
-                          coarse.mask)
-        u = fld.interp(g.points().reshape(-1, 2)[_assembly(ring).interior_ids])
-    finally:
-        # the coarse solver data would otherwise stay alive, through the
-        # ring's cache, during every factorisation on this grid
-        coarse.clear_cache()
-    outside = np.isnan(u)
-    u[outside] = _harmonic_unknowns(ring, inner_value, outer_value)[outside]
-    return u, levels
+    u, _, ok, _, levels = _continuation(coarse, of, opts, inner_value, outer_value)
+    if not ok:
+        return None
+    casm = _assembly(coarse)
+    v = casm.full_values(u, casm.closure_offset(inner_value, outer_value))
+    fld = ScalarField(coarse.grid, v.reshape(coarse.grid.ny, coarse.grid.nx), coarse.mask)
+    return fld.interp(g.points().reshape(-1, 2)[_assembly(ring).interior_ids]), levels
 
 
 def _newton_stage(asm, of, q0, u, delta, opts):

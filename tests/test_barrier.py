@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ def test_tune_unreachable_target():
     z = zeta_from_modulus(PowerModulus(0.2), 0.5, 1.0, 5.0)
     with pytest.raises(TargetUnreachable):
         tune_m(of, z, 1.0, 1.0, 50.0)
+
+
+def test_overflowing_flux_is_refused_without_a_warning():
+    # h(beta m) overflows to inf for the power law: a typed error, no RuntimeWarning
+    z = zeta_from_modulus(PowerModulus(0.5), 0.5, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InversionOverflow):
+            build_barrier(power(3.0), z, 1e300, 1.0, 1.0)
 
 
 # --- verification -------------------------------------------------------------

@@ -172,7 +172,8 @@ tol = 1e-16
     ("[solver]\ntoll = 1e-3\n", "[solver] toll"),
     ("[solvr]\ntol = 1e-3\n", "[solvr]"),
     ("[solvr]\n", "[solvr]"),
-], ids=["key", "section", "empty_section"])
+    ("[run]\nseed = 7\n", "unknown config section [run]"),
+], ids=["key", "section", "empty_section", "run_seed"])
 def test_unknown_config_entry_exit_1(tmp_path, capsys, text, named):
     cfg = write_config(tmp_path / "run.ini", ANNULUS_65 + text)
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -183,8 +184,7 @@ def test_unknown_config_entry_exit_1(tmp_path, capsys, text, named):
 @pytest.mark.parametrize("text, named", [
     (ANNULUS_65.replace("resolution = 65", "resolution = 100.7"), "[grid] resolution"),
     (ANNULUS_65 + "[solver]\nmax_iter = 2.9\n", "[solver] max_iter"),
-    (ANNULUS_65 + "[run]\nseed = 7.5\n", "[run] seed"),
-], ids=["resolution", "max_iter", "seed"])
+], ids=["resolution", "max_iter"])
 def test_fractional_count_exit_1(tmp_path, capsys, text, named):
     cfg = write_config(tmp_path / "run.ini", text)
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -268,7 +268,7 @@ def test_readme_config_example_parses(tmp_path):
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = parse_config(write_config(tmp_path / "run.ini", block))
     assert (cfg.geometry_kind, cfg.ring_side, cfg.resolution) == ("dini_cap", "inner", 257)
-    assert cfg.tol == 1e-8 and cfg.seed == 20240817
+    assert cfg.tol == 1e-8
 
 
 def test_verify_non_dini_modulus_exit_2(tmp_path):
@@ -283,6 +283,15 @@ zeta = modulus
     out = str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     assert main(["verify", "--config", cfg, "--out", out]) == 2
+
+
+def test_verify_typed_error_exit_2(tmp_path, capsys):
+    # no m gives a barrier whose f(1) could reach this target
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65 + "[barrier]\ntarget = 1e300\n")
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    assert main(["verify", "--config", cfg, "--out", out]) == 2
+    assert "error: no evaluable m at all" in capsys.readouterr().err
 
 
 def test_full_cap_pipeline(tmp_path):

@@ -48,6 +48,20 @@ def test_hopf_p3_positive(annulus129):
     assert rep.passed and rep.c_estimate > 0
 
 
+def test_hopf_point_in_a_cell_with_outside_corners(annulus129, harmonic129):
+    # beyond the ghost layer: two corners of x0's cell lie outside the field,
+    # so u(x0) is the bilinear value of the two ghost corners alone
+    g = annulus129.grid
+    x0 = (2.04, 0.5 * g.h)
+    i0, j0 = int((x0[0] - g.x0) // g.h), int((x0[1] - g.y0) // g.h)
+    assert list(annulus129.mask[j0:j0 + 2, i0 + 1]) == [Mask.OUTSIDE] * 2
+    assert np.isnan(harmonic129.interp(np.array(x0)))
+    rep = hopf_constant(harmonic129, x0, [0.4, 0.2])
+    v = harmonic129.values
+    assert rep.u0 == pytest.approx(0.5 * (v[j0, i0] + v[j0 + 1, i0]), rel=1e-9)
+    assert rep.passed
+
+
 def test_hopf_precondition(harmonic129):
     shifted = harmonic129.copy_with(harmonic129.values - 0.5)
     with pytest.raises(PreconditionFail):

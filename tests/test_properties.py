@@ -1,14 +1,17 @@
 """Invariants over random rings: annuli with an off-centre inner disk, and
-both rings of random Dini caps, on grids of 65 to 97 nodes a side."""
+both rings of random Dini caps, on grids of 65 to 97 nodes a side, and
+power laws with p in [1.3, 5]."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopflab import (Disk, Grid, LogPowerModulus, PowerModulus, SolveOptions,
-                     build_dini_cap, make_cap_ring, make_ring, power,
-                     solve_h_potential, solve_harmonic, solver)
+                     build_dini_cap, comparison_check, compose_barrier,
+                     level_diagnostics, make_cap_ring, make_ring, power,
+                     solve_h_potential, solve_harmonic, solver, tune_m,
+                     verify_subsolution, zeta_from_field)
 
 
 @st.composite
@@ -73,3 +76,39 @@ def test_multilevel_solve_matches_single_level(build):
     assert float(np.max(np.abs(u.values - single.values))) <= 1e-9
     assert np.array_equal(again.values, u.values)
     assert again.meta["log"] == u.meta["log"]
+
+
+exponents = st.floats(1.3, 5.0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(build=ring_builders(), p=exponents, low=st.tuples(st.floats(0.0, 1.0),
+                                                         st.floats(0.0, 1.0)),
+       rise=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)))
+def test_ordered_data_give_ordered_solutions(build, p, low, rise):
+    # discrete comparison principle: data below data give a solution below
+    ring = build()
+    of = power(p)
+    u = solve_h_potential(ring, of, None, *low)
+    v = solve_h_potential(ring, of, None, low[0] + rise[0], low[1] + rise[1])
+    assert u.meta["converged"] and v.meta["converged"]
+    interior = ring.interior()
+    assert float(np.max(u.values[interior] - v.values[interior])) <= 1e-7
+
+
+@settings(max_examples=8, deadline=None)
+@given(build=ring_builders(), p=exponents)
+def test_certified_barrier_passes_comparison(build, p):
+    # the pipeline of `hopflab verify`: a barrier f(w) tuned to f(1) = 1 that
+    # the three certificates accept lies below the potential with the same data
+    ring = build()
+    of = power(p)
+    w = solve_harmonic(ring)
+    diag = level_diagnostics(w)
+    zeta = zeta_from_field(w, diag=diag)
+    prof = tune_m(of, zeta, 1.0, float(np.max(diag.grad_norm[diag.trusted])), 1.0)
+    assume(verify_subsolution(w, prof, of, zeta=zeta, diag=diag).all_pass)
+    u = solve_h_potential(ring, of)
+    assert u.meta["converged"]
+    rep = comparison_check(u, compose_barrier(w, prof), of)
+    assert rep.passed, rep.to_text()
