@@ -19,8 +19,8 @@ import numpy as np
 
 from . import barrier as barrier_mod
 from . import geometry, gridio, hopf, orlicz, solver
-from .errors import (ConfigError, HopflabError, MissingArtifact, NotIntegrable,
-                     OutOfRange)
+from .errors import (ConfigError, HopflabError, MissingArtifact, NonMonotone,
+                     NotIntegrable, OutOfRange)
 
 
 @dataclass
@@ -181,11 +181,11 @@ def _validate(cfg: RunConfig):
 
 
 def _checked(section: str, build, cfg: RunConfig):
-    """build(cfg), with an OutOfRange from the built object's own checks
-    turned into a ConfigError naming the section."""
+    """build(cfg), with an OutOfRange or NonMonotone from the built object's
+    own checks turned into a ConfigError naming the section."""
     try:
         return build(cfg)
-    except OutOfRange as exc:
+    except (OutOfRange, NonMonotone) as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
@@ -204,10 +204,33 @@ def _positive_number(text) -> bool:
 def _build_function(cfg: RunConfig) -> orlicz.OrliczFunction:
     if cfg.function_kind == "power":
         return orlicz.power(cfg.p, t_max=1e6 if cfg.t_max is None else cfg.t_max)
-    header, rows = gridio.read_table(cfg.table_path)
-    ts = np.array([float(r[0]) for r in rows])
-    hs = np.array([float(r[1]) for r in rows])
+    ts, hs = _law_table(cfg.table_path)
     return orlicz.custom(table=(ts, hs), t_max=cfg.t_max)
+
+
+def _law_table(path):
+    """The (t, h) columns of a custom law's table: a header line, then one
+    row per line of at least two comma-separated cells, the first two finite
+    numbers; a ConfigError naming `[function] table` (and the line) if not."""
+    lines = Path(path).read_text().splitlines()
+    rows = [(k, line.split(",")) for k, line in enumerate(lines[1:], start=2) if line]
+    if not rows:
+        raise ConfigError(f"[function] table: {path} has no rows below a header line")
+    ts, hs = [], []
+    for k, cells in rows:
+        if len(cells) < 2:
+            raise ConfigError(f"[function] table: line {k} of {path}: need two cells "
+                              f"t,h, got {len(cells)}")
+        for column, text in zip((ts, hs), cells):
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(f"[function] table: line {k} of {path}: "
+                                  f"{text.strip()!r} is not a finite number")
+            column.append(value)
+    return np.array(ts), np.array(hs)
 
 
 def _build_modulus(cfg: RunConfig) -> geometry.DiniModulus:
@@ -301,7 +324,8 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
              f"inner_value {u.meta['inner_value']!r}",
              f"outer_value {u.meta['outer_value']!r}",
              f"delta_final {u.meta['delta_final']!r}",
-             "levels " + " ".join(f"{n}:{k}" for n, k in u.meta["levels"])]
+             "levels " + " ".join(f"{n}:{k}" for n, k, _, _ in u.meta["levels"]),
+             "linear " + " ".join(f"{n}:{f}:{m}" for n, _, f, m in u.meta["levels"])]
     (out / "solve_report.txt").write_text("\n".join(lines) + "\n")
     print(f"solve: converged={u.meta['converged']} "
           f"residual={u.meta['residual']:.3e}")

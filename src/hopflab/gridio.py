@@ -84,10 +84,3 @@ def write_table(path, header: list[str], rows):
                 cells.append(str(c))
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
-
-
-def read_table(path):
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:] if line]
-    return header, rows

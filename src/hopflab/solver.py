@@ -46,6 +46,8 @@ GRADIENT_FLOOR = 10.0     # gradients below this many delta_final count as vanis
 MAX_FLOW_STEPS = 200_000  # midpoint steps trace_flow_line takes in each direction
 COARSEST = 129            # least nodes a side of a grid that starts a finer solve
 TAIL = 2                  # last deltas of the schedule run on the finer grid
+KRYLOV_MAX = 12           # GMRES iterations a reused factor gets per Newton step
+KRYLOV_TOL = 1e-6         # relative linear residual a GMRES direction must reach
 
 
 @dataclass
@@ -100,10 +102,13 @@ class SolveOptions:
     `flux_scale`), so one setting covers mild and strongly degenerate laws;
     max_iter: Newton iterates per delta stage.
 
-    Every linear system is solved by a sparse LU factorisation of the
-    Jacobian, with the unknowns numbered in nested-dissection order. The
+    The unknowns are numbered in nested-dissection order for sparse LU. The
     Laplace solve is factorised once per ring and reused for any boundary
-    data, including the harmonic warm start of the Newton solve."""
+    data, including the harmonic warm start of the Newton solve. The Newton
+    solve factorises the Jacobian of its first step on each grid, and solves
+    that grid's later steps by GMRES preconditioned with that factor, to a
+    relative linear residual of KRYLOV_TOL; a grid where GMRES misses it
+    factorises every step from then on (see `_Directions`)."""
     delta_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     tol: float = 1e-8
     max_iter: int = 60
@@ -448,8 +453,9 @@ def solve_h_potential(ring: ConvexRing, of: OrliczFunction,
     singular gradient law; each stage runs damped Newton on the convex
     discrete energy. On grids of at least 2 * COARSEST - 1 nodes a side the
     schedule first runs on the half grid (see `_continuation`); meta["log"]
-    holds the iterates on this ring's grid, meta["levels"] the iterates per
-    grid. Non-convergence is recorded on meta, not raised.
+    holds the iterates on this ring's grid, meta["levels"] the iterates,
+    Jacobian factorisations and GMRES iterations per grid. Non-convergence
+    is recorded on meta, not raised.
     """
     opts = opts or SolveOptions()
     _coercivity_warning(of)
@@ -481,8 +487,9 @@ def _continuation(ring, of, opts, inner_value, outer_value):
     solves the whole schedule (see `_coarse_start`), its solution is the
     start of the last TAIL stages here; otherwise the whole schedule runs
     here from the harmonic. The log holds this grid's iterates only; levels
-    lists (nodes a side, logged iterates) of each grid whose solution fed
-    this one, coarsest first, this grid last."""
+    lists (nodes a side, logged iterates, Jacobian factorisations, GMRES
+    iterations) of each grid whose solution fed this one, coarsest first,
+    this grid last."""
     start = _coarse_start(ring, of, opts, inner_value, outer_value)
     # the coarse ring and its solver data are gone by now, so they do not
     # stay alive during any factorisation on this grid
@@ -495,16 +502,18 @@ def _continuation(ring, of, opts, inner_value, outer_value):
         u = np.where(np.isnan(coarse_u), u, coarse_u)
     asm = _assembly(ring)
     q0 = asm.closure_offset(inner_value, outer_value)
+    directions = _Directions()      # one factor for every stage on this grid
     log = []
     converged = True
     J = None
     for delta in schedule:
-        u, J, stage_ok, stage_log = _newton_stage(asm, of, q0, u, delta, opts)
+        u, J, stage_ok, stage_log = _newton_stage(asm, of, q0, u, delta, opts, directions)
         log += [(len(log) + k, delta) + entry for k, entry in enumerate(stage_log)]
         if not stage_ok:
             converged = False
             break
-    return u, J, converged, log, levels + [(ring.grid.nx, len(log))]
+    return u, J, converged, log, levels + [
+        (ring.grid.nx, len(log), directions.factorisations, directions.krylov)]
 
 
 def _coarse_start(ring, of, opts, inner_value, outer_value):
@@ -532,12 +541,16 @@ def _coarse_start(ring, of, opts, inner_value, outer_value):
     return fld.interp(g.points().reshape(-1, 2)[_assembly(ring).interior_ids]), levels
 
 
-def _newton_stage(asm, of, q0, u, delta, opts):
+def _newton_stage(asm, of, q0, u, delta, opts, directions):
     """Damped Newton on the stationarity rows; merit is the squared residual.
 
-    Newton directions are exact-Jacobian directions and hence always merit
-    descent directions; a failed backtracking line search therefore means
-    the residual assembly has reached its floating-point floor. Near the
+    Each direction du solves the Jacobian system A du = -G to a relative
+    residual eta < 1: exactly after a factorisation, and to eta <= KRYLOV_TOL
+    by GMRES (see `_Directions`). Since G.A du = -|G|^2 + G.(A du + G) <=
+    -(1 - eta)|G|^2 < 0, every direction descends on the merit |G|^2 (the
+    inexact Newton condition of Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+    Anal. 19, 1982); a failed backtracking line search therefore means the
+    residual assembly has reached its floating-point floor. Near the
     tolerance that counts as converged; far from it the stage reports
     failure with its last accepted iterate.
     """
@@ -552,8 +565,7 @@ def _newton_stage(asm, of, q0, u, delta, opts):
         stage_log.append((J, res))
         if res < opts.tol * scale:
             return u, J, True, stage_log
-        A = asm.jacobian_rows(v, of, delta)
-        du = _lu(A).solve(-G)
+        du = directions.solve(asm.jacobian_rows(v, of, delta), G)
         step = 1.0
         accepted = False
         for _ in range(40):
@@ -570,6 +582,72 @@ def _newton_stage(asm, of, q0, u, delta, opts):
             return u, J, res < 100.0 * opts.tol * scale, stage_log
         u, v, G, phi = u_try, v_try, G_try, phi_try
     return u, asm.energy(v, of, delta), False, stage_log
+
+
+class _Directions:
+    """The Newton directions of one grid, A du = -G, from one held factor.
+
+    The first step factorises its Jacobian, and the factor is kept for every
+    later step on the grid, across delta stages: nested iteration starts
+    each grid next to its solution, so the first Jacobian stays close to the
+    later ones. A later step runs `_gmres` preconditioned with it; when that
+    misses KRYLOV_TOL, the step factorises, and so does every remaining step
+    on the grid. Counts the factorisations and the GMRES iterations."""
+
+    def __init__(self):
+        self.lu = None
+        self.reuse = True
+        self.factorisations = 0
+        self.krylov = 0
+
+    def solve(self, A, G):
+        if self.lu is not None and self.reuse:
+            du, iterations = _gmres(A, self.lu.solve, -G)
+            self.krylov += iterations
+            if du is not None:
+                return du
+            self.reuse = False
+        self.lu = None                  # no second factor alive while _lu runs
+        self.lu = _lu(A)
+        self.factorisations += 1
+        return self.lu.solve(-G)
+
+
+def _gmres(A, precondition, b):
+    """GMRES for A x = b, right-preconditioned, without restart (Saad &
+    Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): (x, iterations), with x
+    None when |A x - b| <= KRYLOV_TOL |b| is not met within KRYLOV_MAX
+    iterations. Modified Gram-Schmidt and Givens rotations in a fixed order,
+    so reruns repeat x bit for bit."""
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    V = np.zeros((KRYLOV_MAX + 1, len(b)))
+    H = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
+    cs, sn = np.zeros(KRYLOV_MAX), np.zeros(KRYLOV_MAX)
+    g = np.zeros(KRYLOV_MAX + 1)
+    V[0], g[0] = b / beta, beta
+    for k in range(KRYLOV_MAX):
+        w = A @ precondition(V[k])
+        for i in range(k + 1):
+            H[i, k] = w @ V[i]
+            w -= H[i, k] * V[i]
+        H[k + 1, k] = np.linalg.norm(w)
+        if H[k + 1, k] > 0.0:
+            V[k + 1] = w / H[k + 1, k]
+        for i in range(k):
+            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                    cs[i] * H[i + 1, k] - sn[i] * H[i, k])
+        r = np.hypot(H[k, k], H[k + 1, k])
+        cs[k], sn[k] = H[k, k] / r, H[k + 1, k] / r
+        H[k, k], H[k + 1, k] = r, 0.0
+        g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+        if abs(g[k + 1]) <= KRYLOV_TOL * beta:
+            # the rotated residual is the true one only up to rounding
+            x = precondition(np.linalg.solve(H[:k + 1, :k + 1], g[:k + 1]) @ V[:k + 1])
+            if np.linalg.norm(A @ x - b) <= KRYLOV_TOL * beta:
+                return x, k + 1
+    return None, KRYLOV_MAX
 
 
 def _coercivity_warning(of: OrliczFunction):

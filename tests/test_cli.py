@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopflab import PowerModulus, build_dini_cap, geometry, make_rings
-from hopflab.cli import _build_ring, main, parse_config
+from hopflab import PowerModulus, build_dini_cap, geometry, make_rings, solver
+from hopflab.cli import _build_ring, _read_solved, main, parse_config
 
 
 def write_config(path, text):
@@ -97,6 +97,26 @@ def test_custom_law_t_max_above_table_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("text, words", [
+    ("", "has no rows below a header line"),
+    ("t,h\n", "has no rows below a header line"),
+    ("t,h\n0.5,1.0\n1.0\n", "line 3 of"),
+    ("t,h\n0.5,1.0\n1.0,two\n", "line 3 of"),
+    ("t,h\n0.5,nan\n", "line 2 of"),
+    ("t,h\n0.5,1.0\n1.0,0.5\n", "must increase"),
+], ids=["empty", "header_only", "one_cell", "not_a_number", "not_finite", "decreasing"])
+def test_malformed_law_table_exit_1(tmp_path, capsys, command, text, words):
+    table = tmp_path / "law.csv"
+    table.write_text(text)
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65.replace(
+        "kind = power\np = 3.0", f"kind = custom\ntable = {table}"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [function] table") and words in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_resolution_exit_1(tmp_path):
     cfg = write_config(tmp_path / "run.ini", "[grid]\nresolution = 9\n")
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -119,6 +139,30 @@ def test_solve_and_verify_annulus(tmp_path):
     for name in ("barrier.csv", "subsolution.txt", "comparison.txt",
                  "hopf.txt", "hopf_radii.csv", "verify_summary.txt"):
         assert (tmp_path / "out" / name).exists()
+
+
+def test_solve_report_linear_line(tmp_path):
+    # 257 annulus: the half grid runs all six stages, this grid the last two;
+    # each grid factorises its first Newton step's Jacobian only, and solves
+    # every later step by GMRES preconditioned with that factor
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65.replace(
+        "resolution = 65", "resolution = 257"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "solve_report.txt").read_text().splitlines()
+    levels = [line.split()[1:] for line in report if line.startswith("levels ")][0]
+    linear = [line.split()[1:] for line in report if line.startswith("linear ")][0]
+    assert [lv.split(":")[0] for lv in levels] == ["129", "257"]
+    for lv, lin, stages in zip(levels, linear, (6, 2)):
+        n, logged = map(int, lv.split(":"))
+        n_lin, factorised, krylov = map(int, lin.split(":"))
+        reused = logged - stages - 1
+        assert (n_lin, factorised) == (n, 1)
+        assert reused <= krylov <= reused * solver.KRYLOV_MAX
+    ring = _build_ring(parse_config(cfg))
+    meta = _read_solved(out, "potential.grid", ring).meta
+    assert set(meta) == {"inner_value", "outer_value", "delta_final", "converged",
+                         "operator"}
 
 
 def test_verify_before_solve_exit_1(tmp_path):

@@ -112,3 +112,19 @@ def test_certified_barrier_passes_comparison(build, p):
     assert u.meta["converged"]
     rep = comparison_check(u, compose_barrier(w, prof), of)
     assert rep.passed, rep.to_text()
+
+
+@settings(max_examples=12, deadline=None)
+@given(build=ring_builders(), p=exponents)
+def test_reused_factor_matches_factorising_every_step(build, p):
+    # GMRES directions preconditioned with the grid's first factor take the
+    # Newton iterates of a solve that factorises every step
+    ring = build()
+    of = power(p)
+    u = solve_h_potential(ring, of)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_gmres", lambda A, precondition, b: (None, solver.KRYLOV_MAX))
+        ref = solve_h_potential(ring, of)
+    assert u.meta["converged"] == ref.meta["converged"]
+    assert len(u.meta["log"]) == len(ref.meta["log"])
+    assert float(np.max(np.abs(u.values - ref.values))) <= 1e-9

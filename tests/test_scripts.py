@@ -1,5 +1,6 @@
 """The scripts run end to end, each in a fresh interpreter on this checkout's src/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -27,3 +28,27 @@ def test_annulus_benchmark_script():
     run = run_script("annulus_benchmark.py", "--resolutions", "65", "--p", "3.0")
     assert run.returncode == 0, run.stderr
     assert "gradient bounds" in run.stdout
+
+
+def test_bench_pairs_script(tmp_path):
+    # this checkout against itself: one seed, one short run per side
+    out = tmp_path / "pairs.json"
+    run = run_script("bench_pairs.py", str(ROOT), str(ROOT), "--seeds", "1",
+                     "--seconds", "1", "--workloads", "annulus-p3-257", "--json", str(out))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(out.read_text())
+    assert set(result) == {"parent", "change", "pairs"}
+    metrics = {"setup_s", "check_s", "solve_s", "verify_s", "pipeline_s", "peak_rss_mb",
+               "newton_iters"}
+    for side in ("parent", "change"):
+        assert set(result[side]) == {"machine", "run_seconds", "seeds", "order", "workloads"}
+        assert result[side]["seeds"] == [1]
+        entry = result[side]["workloads"]["annulus-p3-257"]
+        assert entry["failed"] == 0 and entry["attempted"] >= 3
+        assert set(entry["end_to_end"]) == metrics
+        assert set(entry["end_to_end"]["solve_s"]) == {"n", "median", "q1", "q3", "spread",
+                                                      "unit"}
+    pairs = result["pairs"]["annulus-p3-257"]
+    assert set(pairs) == metrics
+    assert all(len(pairs[m]["parent"]) == len(pairs[m]["change"]) == 1 for m in metrics)
+    assert all(0 <= pairs[m]["change_lower_in"] <= 1 for m in metrics)

@@ -515,17 +515,69 @@ def test_laplace_factorised_once_per_ring(monkeypatch):
     assert w01.meta["converged"] and w10.meta["converged"]
 
 
-def test_potential_factorises_once_per_newton_step(monkeypatch):
+def test_potential_factorises_once_per_grid(monkeypatch):
     ring = make_annulus(1.0, 2.0, resolution=65)
     calls = _count_factorisations(monkeypatch)
     solve_harmonic(ring)
     opts = SolveOptions()
     u = solve_h_potential(ring, power(3.0), opts)
     assert u.meta["converged"]
-    # every logged iterate but the last of each stage took a Newton step,
-    # and the Laplace solve shared by the warm start took one more
+    # every logged iterate but the last of each stage took a Newton step; the
+    # first factorised, the others reused its factor, and the Laplace solve
+    # shared by the warm start took one more factorisation
     steps = len(u.meta["log"]) - len(opts.delta_schedule)
-    assert len(calls) == steps + 1
+    assert steps > 1 and len(calls) == 2
+    (n, logged, factorised, krylov), = u.meta["levels"]
+    assert (n, logged, factorised) == (65, len(u.meta["log"]), 1)
+    assert steps - 1 <= krylov <= (steps - 1) * solver.KRYLOV_MAX
+
+
+def test_failed_reuse_factorises_every_remaining_step(monkeypatch):
+    ring = make_annulus(1.0, 2.0, resolution=65)
+    solve_harmonic(ring)
+    opts = SolveOptions()
+    of = power(3.0)
+    with monkeypatch.context() as m:
+        # the reference factorises every Newton step's Jacobian
+        m.setattr(solver._Directions, "solve", lambda self, A, G: solver._lu(A).solve(-G))
+        ref = solve_h_potential(ring, of, opts)
+    attempts = []
+    monkeypatch.setattr(solver, "_gmres", lambda A, precondition, b:
+                        attempts.append(len(b)) or (None, solver.KRYLOV_MAX))
+    calls = _count_factorisations(monkeypatch)
+    u = solve_h_potential(ring, of, opts)
+    # one failed attempt, then the grid factorises every step, as ref does
+    steps = len(u.meta["log"]) - len(opts.delta_schedule)
+    assert len(attempts) == 1 and len(calls) == steps
+    assert u.meta["levels"] == [(65, len(u.meta["log"]), steps, solver.KRYLOV_MAX)]
+    assert u.meta["log"] == ref.meta["log"] and np.array_equal(u.values, ref.values)
+
+
+@pytest.fixture(scope="module")
+def laplacian65():
+    return _laplace_jacobian(make_annulus(1.0, 2.0, resolution=65))
+
+
+def test_gmres_with_an_exact_factor_takes_one_iteration(laplacian65):
+    A = laplacian65
+    b = np.sin(np.arange(A.shape[0], dtype=float))
+    x, iterations = solver._gmres(A, spla.splu(A).solve, b)
+    assert iterations == 1
+    assert np.linalg.norm(A @ x - b) <= solver.KRYLOV_TOL * np.linalg.norm(b)
+
+
+def test_gmres_of_a_zero_right_hand_side_is_zero(laplacian65):
+    A = laplacian65
+    x, iterations = solver._gmres(A, spla.splu(A).solve, np.zeros(A.shape[0]))
+    assert iterations == 0 and not np.any(x)
+
+
+def test_gmres_fails_with_a_poor_preconditioner(laplacian65):
+    # unpreconditioned, the Laplacian's condition number keeps GMRES far
+    # from KRYLOV_TOL within KRYLOV_MAX iterations
+    A = laplacian65
+    b = np.sin(np.arange(A.shape[0], dtype=float))
+    assert solver._gmres(A, lambda r: r.copy(), b) == (None, solver.KRYLOV_MAX)
 
 
 def test_heap_trimmed_before_each_factorisation(monkeypatch):
@@ -563,7 +615,7 @@ def test_multilevel_solve_matches_single_level(name, request, monkeypatch):
     calls = _count_factorisations(monkeypatch)
     u = solve_h_potential(fresh, of, None, *data)
     assert u.meta["converged"] and single.meta["converged"]
-    assert [n for n, _ in u.meta["levels"]] == [129, 257]
+    assert [level[0] for level in u.meta["levels"]] == [129, 257]
     assert u.meta["levels"][-1][1] == len(u.meta["log"])
     assert {d for _, d, _, _ in u.meta["log"]} == set(SolveOptions().delta_schedule[-2:])
     assert float(np.max(np.abs(u.values - single.values))) <= 1e-9
@@ -572,10 +624,11 @@ def test_multilevel_solve_matches_single_level(name, request, monkeypatch):
         exact = radial_potential(annulus_radius(ring), 3.0)
         err = [float(np.max(np.abs(f.values - exact)[interior])) for f in (u, single)]
         assert err[0] <= err[1] + 1e-12
-    # the fine grid factorises once for the harmonic and once per Newton step
+    # each grid factorises once for its harmonic and once for its first
+    # Newton step, whose factor serves every later step there
     fine = [args[0] for args in calls if args[0].shape[0] == n_fine]
-    assert len(fine) == 1 + len(u.meta["log"]) - solver.TAIL
-    assert len(calls) > len(fine)
+    assert len(fine) == 2 and len(calls) == 4
+    assert [level[2] for level in u.meta["levels"]] == [1, 1]
 
 
 def test_no_coarse_ring_falls_back_to_single_level(monkeypatch):
@@ -585,7 +638,7 @@ def test_no_coarse_ring_falls_back_to_single_level(monkeypatch):
     u = solve_h_potential(ring, power(3.0))
     ref = _single_level(monkeypatch, lambda: solve_h_potential(
         dataclasses.replace(ring, _cache={}), power(3.0)))
-    assert u.meta["levels"] == [(65, len(u.meta["log"]))]
+    assert [level[:2] for level in u.meta["levels"]] == [(65, len(u.meta["log"]))]
     assert u.meta["converged"] and np.array_equal(u.values, ref.values)
 
 
