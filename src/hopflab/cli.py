@@ -343,16 +343,25 @@ def _read_solved(out: Path, name: str, ring: geometry.ConvexRing) -> solver.Scal
     for need in (path, rep):
         if not need.exists():
             raise MissingArtifact(f"{need} not found; run solve first")
-    grid, values, mask = gridio.read_grid_file(path)
+    try:
+        grid, values, mask = gridio.read_grid_file(path)
+    except ValueError as exc:
+        raise MissingArtifact(f"{exc}; run solve again") from None
+    if mask is None:
+        raise MissingArtifact(f"{path} has no mask block; run solve again")
     if (grid.nx, grid.ny) != (ring.grid.nx, ring.grid.ny):
         raise MissingArtifact(f"{path} was produced on a different grid")
     meta = {}
-    for line in rep.read_text().splitlines():
+    for number, line in enumerate(rep.read_text().splitlines(), 1):
         parts = line.split()
         if len(parts) == 2 and parts[0] in _SOLVED_KEYS:
-            meta[parts[0]] = float(parts[1])
+            try:
+                meta[parts[0]] = float(parts[1])
+            except ValueError:
+                raise MissingArtifact(f"{rep} line {number} is not a number: {line!r}; "
+                                      "run solve again") from None
         if parts[:1] == ["converged"]:
-            meta["converged"] = parts[1] == "True"
+            meta["converged"] = parts[1:] == ["True"]
     missing = [key for key in _SOLVED_KEYS if key not in meta]
     if missing:
         raise MissingArtifact(f"{rep} has no {' / '.join(missing)} line; run solve again")

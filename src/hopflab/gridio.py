@@ -41,30 +41,36 @@ def write_grid_file(path, grid: Grid, values: np.ndarray, mask: np.ndarray | Non
 
 
 def read_grid_file(path):
+    """(grid, values, mask); ValueError naming the file if it is malformed."""
     path = Path(path)
     raw = path.read_text().splitlines()
     if not raw or raw[0].strip() != "gridfield 1":
         raise ValueError(f"{path} is not a grid file")
-    head = {}
-    i = 1
-    while i < len(raw):
-        key, _, rest = raw[i].partition(" ")
-        head[key] = rest
-        i += 1
-        if key == "blocks":
-            break
-    nx = int(head["nx"])
-    ny = int(head["ny"])
-    x0, y0 = (float(v) for v in head["origin"].split())
-    h = float(head["spacing"])
-    grid = Grid(x0, y0, nx, ny, h)
-    blocks = head["blocks"].split()
-    values = np.loadtxt(raw[i:i + ny], dtype=float, ndmin=2)
-    i += ny
-    mask = None
-    if "mask" in blocks:
-        mask = np.loadtxt(raw[i:i + ny], dtype=np.uint8, ndmin=2)
+    # the header runs up to and including its blocks line
+    i = next((k + 1 for k, line in enumerate(raw) if line.startswith("blocks")), len(raw))
+    head = dict(line.partition(" ")[::2] for line in raw[1:i])
+    try:
+        x0, y0 = (float(v) for v in head["origin"].split())
+        grid = Grid(x0, y0, int(head["nx"]), int(head["ny"]), float(head["spacing"]))
+        blocks = head["blocks"].split()
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path} has a malformed header ({exc!r})") from None
+    values = _block(path, "values", raw[i:i + grid.ny], float, grid)
+    mask = (_block(path, "mask", raw[i + grid.ny:i + 2 * grid.ny], np.uint8, grid)
+            if "mask" in blocks else None)
     return grid, values, mask
+
+
+def _block(path, name, rows, dtype, grid: Grid):
+    """The ny rows of nx numbers of one block, or ValueError naming path."""
+    try:
+        if len(rows) == grid.ny:
+            block = np.loadtxt(rows, dtype=dtype, ndmin=2)
+            if block.shape == (grid.ny, grid.nx):
+                return block
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: the {name} block is not {grid.ny} rows of {grid.nx} numbers")
 
 
 def write_table(path, header: list[str], rows):

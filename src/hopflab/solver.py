@@ -22,7 +22,6 @@ by cell area, so a solved field has residual below the solver tolerance
 
 from __future__ import annotations
 
-import ctypes
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -104,11 +103,11 @@ class SolveOptions:
 
     The unknowns are numbered in nested-dissection order for sparse LU. The
     Laplace solve is factorised once per ring and reused for any boundary
-    data, including the harmonic warm start of the Newton solve. The Newton
-    solve factorises the Jacobian of its first step on each grid, and solves
-    that grid's later steps by GMRES preconditioned with that factor, to a
-    relative linear residual of KRYLOV_TOL; a grid where GMRES misses it
-    factorises every step from then on (see `_Directions`)."""
+    data, including the harmonic warm start of the Newton solve. Each grid's
+    Newton steps are solved by GMRES preconditioned with the newest Jacobian
+    factor, to a relative linear residual of KRYLOV_TOL; the grid's first
+    step, and any step where GMRES misses, factorises its own Jacobian, and
+    the later steps use that factor (see `_Directions`)."""
     delta_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     tol: float = 1e-8
     max_iter: int = 60
@@ -382,28 +381,10 @@ def _separator(ci, cj):
     return (ci, (i0 + i1) // 2) if i1 - i0 >= j1 - j0 else (cj, (j0 + j1) // 2)
 
 
-def _heap_trim():
-    """The C library's malloc_trim(pad), or a no-op where it has none."""
-    try:
-        return ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return lambda pad: 0
-
-
-_TRIM_HEAP = _heap_trim()
-
-
 def _lu(A):
     """SuperLU factor of a Jacobian. Its unknowns are already numbered in
-    nested-dissection order, so SuperLU keeps the column order as given.
-
-    Free heap pages go back to the system first. Otherwise glibc's dynamic
-    mmap threshold keeps a varying share of the previous iterate's freed
-    temporaries resident: the peak RSS of the 513 annulus solve then read
-    342 or 444 MB depending on the input, instead of live data plus one
-    factor (326 MB)."""
+    nested-dissection order, so SuperLU keeps the column order as given."""
     import scipy.sparse.linalg as spla
-    _TRIM_HEAP(0)
     return spla.splu(A, permc_spec="NATURAL")
 
 
@@ -502,7 +483,7 @@ def _continuation(ring, of, opts, inner_value, outer_value):
         u = np.where(np.isnan(coarse_u), u, coarse_u)
     asm = _assembly(ring)
     q0 = asm.closure_offset(inner_value, outer_value)
-    directions = _Directions()      # one factor for every stage on this grid
+    directions = _Directions()      # holds the newest factor across the stages
     log = []
     converged = True
     J = None
@@ -585,28 +566,28 @@ def _newton_stage(asm, of, q0, u, delta, opts, directions):
 
 
 class _Directions:
-    """The Newton directions of one grid, A du = -G, from one held factor.
+    """The Newton directions of one grid, A du = -G, from the newest factor.
 
-    The first step factorises its Jacobian, and the factor is kept for every
-    later step on the grid, across delta stages: nested iteration starts
-    each grid next to its solution, so the first Jacobian stays close to the
-    later ones. A later step runs `_gmres` preconditioned with it; when that
-    misses KRYLOV_TOL, the step factorises, and so does every remaining step
-    on the grid. Counts the factorisations and the GMRES iterations."""
+    The first step factorises its Jacobian; each later step runs `_gmres`
+    preconditioned with the held factor, and if that misses KRYLOV_TOL within
+    KRYLOV_MAX iterations, factorises its own Jacobian and holds that factor
+    instead. Nested iteration starts each grid next to its solution, so a
+    held factor stays close to the later Jacobians, across delta stages. Each
+    step wastes at most one capped GMRES attempt, and no grid factorises more
+    often than it takes Newton steps. Counts the factorisations and the GMRES
+    iterations."""
 
     def __init__(self):
         self.lu = None
-        self.reuse = True
         self.factorisations = 0
         self.krylov = 0
 
     def solve(self, A, G):
-        if self.lu is not None and self.reuse:
+        if self.lu is not None:
             du, iterations = _gmres(A, self.lu.solve, -G)
             self.krylov += iterations
             if du is not None:
                 return du
-            self.reuse = False
         self.lu = None                  # no second factor alive while _lu runs
         self.lu = _lu(A)
         self.factorisations += 1

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,52 @@ def test_verify_needs_the_solve_report(tmp_path, capsys, text):
                                   if not line.startswith(key + " ")))
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
         assert f"no {key} line" in capsys.readouterr().err
+    assert not (out / "verify_summary.txt").exists()
+
+
+@pytest.fixture(scope="module")
+def solved65(tmp_path_factory):
+    """A config and the out directory of one solve of the 65 annulus."""
+    root = tmp_path_factory.mktemp("solved65")
+    cfg = write_config(root / "run.ini", ANNULUS_65)
+    assert main(["solve", "--config", cfg, "--out", str(root / "out")]) == 0
+    return cfg, root / "out"
+
+
+def _non_number(text):
+    lines = text.splitlines(keepends=True)
+    row = lines[10].split(" ")
+    lines[10] = " ".join(row[:3] + ["x"] + row[4:])
+    return "".join(lines)
+
+
+def _no_mask(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:5] + ["blocks values\n"] + lines[6:6 + 65])
+
+
+def _bad_report_value(text):
+    return "".join("delta_final abc\n" if line.startswith("delta_final ") else line
+                   for line in text.splitlines(keepends=True))
+
+
+@pytest.mark.parametrize("name, damage, words", [
+    ("harmonic.grid", lambda text: text[:300], "harmonic.grid: the values block is not"),
+    ("harmonic.grid", lambda text: text[:30], "harmonic.grid has a malformed header"),
+    ("potential.grid", lambda text: "garbage\n", "potential.grid is not a grid file"),
+    ("potential.grid", _non_number, "potential.grid: the values block is not 65 rows"),
+    ("potential.grid", _no_mask, "potential.grid has no mask block"),
+    ("solve_report.txt", _bad_report_value, "solve_report.txt line"),
+], ids=["cut_harmonic", "cut_header", "garbage_potential", "non_number_cell", "no_mask",
+        "report_value"])
+def test_verify_damaged_artifact_exit_1(solved65, tmp_path, capsys, name, damage, words):
+    cfg, solved = solved65
+    out = tmp_path / "out"
+    shutil.copytree(solved, out)
+    (out / name).write_text(damage((out / name).read_text()))
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err and "Traceback" not in err
     assert not (out / "verify_summary.txt").exists()
 
 

@@ -52,3 +52,18 @@ def test_bench_pairs_script(tmp_path):
     assert set(pairs) == metrics
     assert all(len(pairs[m]["parent"]) == len(pairs[m]["change"]) == 1 for m in metrics)
     assert all(0 <= pairs[m]["change_lower_in"] <= 1 for m in metrics)
+
+
+def test_solve_pairs_script(tmp_path):
+    # this checkout against itself: one pair on the 65 annulus
+    config = tmp_path / "annulus65.ini"
+    config.write_text("[function]\nkind = power\np = 3.0\n\n[geometry]\nkind = annulus\n"
+                      "r1 = 1.0\nr2 = 2.0\n\n[grid]\nresolution = 65\n")
+    run = run_script("solve_pairs.py", str(ROOT), str(ROOT), "--configs", str(config),
+                     "--pairs", "1")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "annulus65"
+    for side, line in zip(("parent", "change"), lines[1:]):
+        assert line.split()[0] == side and "over 1 runs, exit 0: " in line
+        assert ": levels 65:" in line and " | linear 65:1:" in line

@@ -532,7 +532,7 @@ def test_potential_factorises_once_per_grid(monkeypatch):
     assert steps - 1 <= krylov <= (steps - 1) * solver.KRYLOV_MAX
 
 
-def test_failed_reuse_factorises_every_remaining_step(monkeypatch):
+def test_every_missed_reuse_factorises_that_step(monkeypatch):
     ring = make_annulus(1.0, 2.0, resolution=65)
     solve_harmonic(ring)
     opts = SolveOptions()
@@ -546,11 +546,37 @@ def test_failed_reuse_factorises_every_remaining_step(monkeypatch):
                         attempts.append(len(b)) or (None, solver.KRYLOV_MAX))
     calls = _count_factorisations(monkeypatch)
     u = solve_h_potential(ring, of, opts)
-    # one failed attempt, then the grid factorises every step, as ref does
+    # every step after the first makes one capped attempt, misses, and
+    # factorises its own Jacobian, so the iterates are those of ref
     steps = len(u.meta["log"]) - len(opts.delta_schedule)
-    assert len(attempts) == 1 and len(calls) == steps
-    assert u.meta["levels"] == [(65, len(u.meta["log"]), steps, solver.KRYLOV_MAX)]
+    assert len(attempts) == steps - 1 and len(calls) == steps
+    assert u.meta["levels"] == [(65, len(u.meta["log"]), steps,
+                                 (steps - 1) * solver.KRYLOV_MAX)]
     assert u.meta["log"] == ref.meta["log"] and np.array_equal(u.values, ref.values)
+
+
+def test_later_steps_reuse_the_factor_of_a_missed_step(monkeypatch):
+    ring = make_annulus(1.0, 2.0, resolution=65)
+    solve_harmonic(ring)
+    gmres = solver._gmres
+    factors = []
+
+    def miss_the_second(A, precondition, b):
+        factors.append(precondition.__self__)
+        if len(factors) == 2:
+            return None, solver.KRYLOV_MAX
+        return gmres(A, precondition, b)
+
+    monkeypatch.setattr(solver, "_gmres", miss_the_second)
+    calls = _count_factorisations(monkeypatch)
+    u = solve_h_potential(ring, power(3.0))
+    assert u.meta["converged"] and len(factors) > 2
+    # the miss factorised its step, and every later attempt used that factor;
+    # the Laplacian was factorised before the count began
+    (n, logged, factorised, krylov), = u.meta["levels"]
+    assert factorised == 2 and len(calls) == 2
+    assert factors[0] is factors[1] and factors[2] is not factors[1]
+    assert all(f is factors[2] for f in factors[2:])
 
 
 @pytest.fixture(scope="module")
@@ -578,21 +604,6 @@ def test_gmres_fails_with_a_poor_preconditioner(laplacian65):
     A = laplacian65
     b = np.sin(np.arange(A.shape[0], dtype=float))
     assert solver._gmres(A, lambda r: r.copy(), b) == (None, solver.KRYLOV_MAX)
-
-
-def test_heap_trimmed_before_each_factorisation(monkeypatch):
-    ring = make_annulus(1.0, 2.0, resolution=65)
-    calls = _count_factorisations(monkeypatch)
-    trims = []
-    monkeypatch.setattr(solver, "_TRIM_HEAP", lambda pad: trims.append(len(calls)))
-    solve_h_potential(ring, power(3.0))
-    # one trim right before every factorisation, none elsewhere
-    assert trims == list(range(len(calls)))
-
-
-def test_heap_trim_is_a_no_op_without_malloc_trim(monkeypatch):
-    monkeypatch.setattr(solver.ctypes, "CDLL", lambda name: object())
-    assert solver._heap_trim()(0) == 0
 
 
 # --- nested iteration ----------------------------------------------------------
