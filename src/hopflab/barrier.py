@@ -25,12 +25,12 @@ from .geometry import DiniModulus, dini_report
 from .orlicz import OrliczFunction
 from .pchip import Pchip
 from .quadrature import cumulative_trapezoid, gauss_segment, integral_to_zero
-from .solver import (ScalarField, LevelDiagnostics, flux_scale, level_diagnostics,
-                     operator_residual)
+from .solver import (RESIDUAL_MARGIN, ScalarField, LevelDiagnostics, flux_scale,
+                     level_diagnostics, operator_residual)
 
 ZETA_BINS = 64            # level bins of the empirical majorant
 TUNE_REL_TOL = 1e-6       # tune_m accepts f(1) in [target * (1 - this), target]
-MARGIN_FACTOR = 1e-3      # certificate tolerances, relative to their scale
+MARGIN_FACTOR = 1e-3      # reduced-inequality tolerances, relative to their median
 
 
 @dataclass
@@ -382,9 +382,10 @@ def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,
     (ii)  f''(w) R(f'(w)|grad w|) >= |grad w|^-5 inf_lap(w),
     (iii) f''(w) R(f'(w)|grad w|) >= zeta(w).
 
-    Tolerances are MARGIN_FACTOR times a scale: for (i) the median flux
-    over the ring divided by the ring gap (the natural magnitude of the
-    discrete operator there), for (ii) and (iii) the median left-hand side.
+    The tolerance of (i) is RESIDUAL_MARGIN times the median flux over the
+    ring divided by the ring gap (the natural magnitude of the discrete
+    operator there); those of (ii) and (iii) are MARGIN_FACTOR times the
+    median left-hand side.
     """
     diag = diag or level_diagnostics(w)
     eligible = diag.trusted
@@ -398,7 +399,7 @@ def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,
     fpp = prof.eval_fpp(wv)
     q = fp * gn
     scale = flux_scale(q, of, w.ring.gap)
-    tol_res = MARGIN_FACTOR * scale
+    tol_res = RESIDUAL_MARGIN * scale
 
     v = compose_barrier(w, prof)
     res = operator_residual(v, of).values[eligible]

@@ -74,6 +74,22 @@ class Grid:
         X, Y = np.meshgrid(self.xs(), self.ys(), indexing="xy")
         return np.stack([X, Y], axis=-1)
 
+    def cell_corners(self, pts):
+        """Each point's cell: its four corners as (j, i) index pairs, their
+        bilinear weights in the same order, and whether the point lies on
+        the grid (a point off it gets the nearest edge cell)."""
+        p = np.asarray(pts, dtype=float)
+        fx = (p[..., 0] - self.x0) / self.h
+        fy = (p[..., 1] - self.y0) / self.h
+        i0 = np.clip(np.floor(fx).astype(int), 0, self.nx - 2)
+        j0 = np.clip(np.floor(fy).astype(int), 0, self.ny - 2)
+        tx = fx - i0
+        ty = fy - j0
+        inside = (fx >= 0) & (fx <= self.nx - 1) & (fy >= 0) & (fy <= self.ny - 1)
+        corners = ((j0, i0), (j0, i0 + 1), (j0 + 1, i0), (j0 + 1, i0 + 1))
+        weights = ((1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty)
+        return corners, weights, inside
+
     def descriptor(self) -> str:
         return (f"grid nx {self.nx} ny {self.ny} origin {self.x0!r} {self.y0!r} "
                 f"spacing {self.h!r}")

@@ -12,11 +12,10 @@ import numpy as np
 from .errors import NotNormalized, OutOfRange, PreconditionFail
 from .geometry import ConvexRing, make_annulus
 from .orlicz import OrliczFunction, conjugate, orlicz_norm
-from .solver import (ScalarField, central_gradient, flux_scale, operator_residual,
-                     solve_harmonic)
+from .solver import (RESIDUAL_MARGIN, ScalarField, central_gradient, flux_scale,
+                     operator_residual, solve_harmonic)
 
 RIM_ANGLES = 720          # bilinear samples of each ball rim in hopf_constant
-RESIDUAL_MARGIN = 1e-3    # comparison residual tolerance, relative to the flux scale
 
 
 @dataclass
@@ -107,18 +106,12 @@ def hopf_constant(u: ScalarField, x0, radii) -> HopfReport:
 def _partial_corner_value(u: ScalarField, x) -> float:
     """Bilinear value from whichever stencil corners carry values (boundary
     points on coarse grids can sit in cells with a missing outside corner)."""
-    g = u.grid
-    i0 = int(np.clip(np.floor((x[0] - g.x0) / g.h), 0, g.nx - 2))
-    j0 = int(np.clip(np.floor((x[1] - g.y0) / g.h), 0, g.ny - 2))
-    tx = (x[0] - g.x0) / g.h - i0
-    ty = (x[1] - g.y0) / g.h - j0
-    corners = [(j0, i0, (1 - tx) * (1 - ty)), (j0, i0 + 1, tx * (1 - ty)),
-               (j0 + 1, i0, (1 - tx) * ty), (j0 + 1, i0 + 1, tx * ty)]
+    corners, weights, _ = u.grid.cell_corners(x)
     valid = u.valid_mask()
     num = den = 0.0
-    for j, i, wgt in corners:
-        if valid[j, i]:
-            num += wgt * u.values[j, i]
+    for jc, wgt in zip(corners, weights):
+        if valid[jc]:
+            num += wgt * u.values[jc]
             den += wgt
     return num / den if den > 1e-12 else np.nan
 

@@ -31,9 +31,10 @@ import numpy as np
 # scipy.sparse is imported inside the functions that use it, so commands that
 # solve nothing, such as `hopflab check`, do not pay for loading it.
 
-from .errors import DegenerateGradient, GapTooSmall, GridTooSmall, StagnationPoint
+from .errors import (DegenerateGradient, GapTooSmall, GridTooSmall, OutOfRange,
+                     StagnationPoint)
 from .geometry import ConvexRing, Grid, Mask, _shift, make_ring
-from .orlicz import OrliczFunction, power
+from .orlicz import COERCIVITY_RATIO_MAX, OrliczFunction, power
 
 _G_LOWER = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])   # slots (A, B, C)
 _G_UPPER = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])   # slots (A, C, D)
@@ -47,6 +48,7 @@ COARSEST = 129            # least nodes a side of a grid that starts a finer sol
 TAIL = 2                  # last deltas of the schedule run on the finer grid
 KRYLOV_MAX = 12           # GMRES iterations a reused factor gets per Newton step
 KRYLOV_TOL = 1e-6         # relative linear residual a GMRES direction must reach
+RESIDUAL_MARGIN = 1e-3    # certificate residual tolerances, relative to flux_scale
 
 
 @dataclass
@@ -74,22 +76,21 @@ class ScalarField:
 
     def interp(self, pts):
         """Bilinear interpolation; NaN where any stencil corner lacks a value."""
-        g = self.grid
-        p = np.asarray(pts, dtype=float)
-        fx = (p[..., 0] - g.x0) / g.h
-        fy = (p[..., 1] - g.y0) / g.h
-        i0 = np.clip(np.floor(fx).astype(int), 0, g.nx - 2)
-        j0 = np.clip(np.floor(fy).astype(int), 0, g.ny - 2)
-        tx = fx - i0
-        ty = fy - j0
-        inside = (fx >= 0) & (fx <= g.nx - 1) & (fy >= 0) & (fy <= g.ny - 1)
-        valid = self.valid_mask()
-        ok = (valid[j0, i0] & valid[j0, i0 + 1]
-              & valid[j0 + 1, i0] & valid[j0 + 1, i0 + 1] & inside)
-        v = self.values
-        out = ((1 - tx) * (1 - ty) * v[j0, i0] + tx * (1 - ty) * v[j0, i0 + 1]
-               + (1 - tx) * ty * v[j0 + 1, i0] + tx * ty * v[j0 + 1, i0 + 1])
-        return np.where(ok, out, np.nan)
+        return _bilinear(self.grid, self.valid_mask(), (self.values,), pts)[0]
+
+
+def _bilinear(grid: Grid, valid: np.ndarray, arrays, pts):
+    """Bilinear interpolation of each array from one cell lookup; NaN off the
+    grid and where any cell corner is not valid."""
+    corners, weights, inside = grid.cell_corners(pts)
+    ok = inside
+    for jc in corners:
+        ok = ok & valid[jc]
+    out = []
+    for v in arrays:
+        a, b, c, d = (wgt * v[jc] for wgt, jc in zip(weights, corners))
+        out.append(np.where(ok, a + b + c + d, np.nan))
+    return out
 
 
 @dataclass(frozen=True)
@@ -638,7 +639,7 @@ def _coercivity_warning(of: OrliczFunction):
     hs = of.h(ts)
     slope = np.polyfit(np.log(ts), np.log(np.maximum(hs, 1e-300)), 1)[0]
     ratio = hs / ts ** slope
-    if float(np.max(ratio) / max(np.min(ratio), 1e-300)) > 10.0:
+    if float(np.max(ratio) / max(np.min(ratio), 1e-300)) > COERCIVITY_RATIO_MAX:
         warnings.warn("flow law failed a quick coercivity screen; "
                       "the minimization may be ill-posed", stacklevel=3)
 
@@ -657,7 +658,7 @@ def operator_residual(fld: ScalarField, of: OrliczFunction,
     """
     ring = fld.ring
     if ring is None:
-        raise ValueError("field carries no ring")
+        raise OutOfRange("field carries no ring")
     asm = _assembly(ring)
     grad = asm.gradient_full(fld.values.ravel(), of, delta)
     res = np.zeros_like(grad)
@@ -690,6 +691,23 @@ def central_gradient(values: np.ndarray, h: float):
     gx[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2 * h)
     gy[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2 * h)
     return gx, gy
+
+
+def node_gradients(values: np.ndarray, usable: np.ndarray, h: float):
+    """(gx, gy) on the usable nodes. Per axis: central differences where both
+    neighbours are usable, else the second-order forward formula, else the
+    backward one; NaN where none applies and off the usable nodes."""
+    out = []
+    for g, (dj, di) in zip(central_gradient(values, h), ((0, 1), (1, 0))):
+        at = {k: _shift(values, k * dj, k * di, np.nan) for k in (-2, -1, 1, 2)}
+        ok = {k: _shift(usable, k * dj, k * di, False) for k in at}
+        fwd = (-3 * values + 4 * at[1] - at[2]) / (2 * h)
+        bwd = -((-3 * values + 4 * at[-1] - at[-2]) / (2 * h))
+        g = np.select([ok[1] & ok[-1], ok[1] & ok[2], ok[-1] & ok[-2]], [g, fwd, bwd],
+                      np.nan)
+        g[~usable] = np.nan
+        out.append(g)
+    return tuple(out)
 
 
 def _gradient_floor(fld: ScalarField) -> float:
@@ -746,32 +764,19 @@ class GradientBounds:
 
 
 def gradient_bounds(fld: ScalarField, ring: ConvexRing | None = None) -> GradientBounds:
-    """Bounds 0 < c < |grad w| < C from central differences on trusted nodes
-    plus second-order one-sided estimates on the first interior layer."""
+    """Bounds 0 < c < |grad w| < C from `node_gradients` over the interior:
+    central differences on trusted nodes, and every other interior node
+    whose two components are estimable."""
     ring = ring or fld.ring
-    v = fld.values
-    h = fld.grid.h
-    core = ring.trusted()
-    gx, gy = central_gradient(v, h)
-    gn_core = np.hypot(gx, gy)[core]
-    gn_core = gn_core[np.isfinite(gn_core)]
-
-    # per axis: central differences when both neighbours are interior, else
-    # the forward formula, else the backward one; nodes with neither axis
-    # estimable are dropped
+    if ring is None:
+        raise OutOfRange("field carries no ring")
     interior = ring.interior()
-    near = interior & ~core
-    comps = []
-    for dj, di in ((1, 0), (0, 1)):
-        at = {k: _shift(v, k * dj, k * di, np.nan) for k in (-2, -1, 1, 2)}
-        inside = {k: _shift(interior, k * dj, k * di, False) for k in at}
-        fwd = (-3 * v + 4 * at[1] - at[2]) / (2 * h)
-        bwd = -((-3 * v + 4 * at[-1] - at[-2]) / (2 * h))
-        comp = np.where(inside[1] & inside[2], fwd, bwd)
-        comp = np.where(inside[1] & inside[-1], (at[1] - at[-1]) / (2 * h), comp)
-        near &= (inside[1] & (inside[-1] | inside[2])) | (inside[-1] & inside[-2])
-        comps.append(comp)
-    gn_near = np.hypot(comps[0][near], comps[1][near])
+    core = ring.trusted()
+    gx, gy = node_gradients(fld.values, interior, fld.grid.h)
+    gn = np.hypot(gx, gy)
+    gn_core = gn[core]
+    gn_core = gn_core[np.isfinite(gn_core)]
+    gn_near = gn[interior & ~core & np.isfinite(gx) & np.isfinite(gy)]
 
     allg = np.concatenate([gn_core, gn_near])
     if allg.size == 0:
@@ -792,16 +797,12 @@ def trace_flow_line(fld: ScalarField, x0):
     the trace.
     """
     grad_floor = _gradient_floor(fld)
-    gx, gy = _node_gradients(fld)
-    gx_f = fld.copy_with(gx)
-    gy_f = fld.copy_with(gy)
+    valid = fld.valid_mask()
     h = fld.grid.h
+    arrays = (fld.values, *node_gradients(fld.values, valid, h))
 
     def sample(x):
-        w = float(fld.interp(x))
-        cx = float(gx_f.interp(x))
-        cy = float(gy_f.interp(x))
-        return w, cx, cy
+        return tuple(float(s) for s in _bilinear(fld.grid, valid, arrays, x))
 
     def trace(direction):
         out = []
@@ -845,18 +846,3 @@ def trace_flow_line(fld: ScalarField, x0):
             last = w
     return cleaned
 
-
-def _node_gradients(fld: ScalarField):
-    """Central differences over valid nodes, one-sided where a neighbour is
-    missing; NaN off the valid nodes."""
-    valid = fld.valid_mask()
-    vm = np.where(valid, fld.values, np.nan)
-    h = fld.grid.h
-    out = []
-    for g, (dj, di) in zip(central_gradient(vm, h), ((0, 1), (1, 0))):
-        fwd = (_shift(vm, dj, di, np.nan) - vm) / h
-        bwd = (vm - _shift(vm, -dj, -di, np.nan)) / h
-        g = np.where(np.isfinite(g), g, np.where(np.isfinite(fwd), fwd, bwd))
-        g[~valid] = np.nan
-        out.append(g)
-    return tuple(out)

@@ -79,8 +79,7 @@ def test_criterion_04_barrier_certification(cap_rings257, cap_harmonic257):
     w = cap_harmonic257
     diag = level_diagnostics(w)
     zeta = zeta_from_field(w, diag=diag)
-    depth = w.ring.interior_depth()
-    C = float(np.max(diag.grad_norm[diag.cells & (depth >= 2)]))
+    C = float(np.max(diag.grad_norm[diag.trusted]))
     margins = {}
     for p in (1.5, 2.0, 3.0, 4.0):
         of = power(p)
@@ -113,8 +112,7 @@ def test_criterion_05_comparison_suite():
         w = solve_harmonic(ring)
         u = solve_h_potential(ring, of)
         diag = level_diagnostics(w)
-        depth = ring.interior_depth()
-        C = float(np.max(diag.grad_norm[diag.cells & (depth >= 2)]))
+        C = float(np.max(diag.grad_norm[diag.trusted]))
         zeta = zeta_from_field(w, diag=diag)
         prof = tune_m(of, zeta, 1.0, C, 1.0)
         v = compose_barrier(w, prof)
@@ -201,8 +199,7 @@ def test_criterion_08_dini_dichotomy():
 
 def test_criterion_09_geometric_identity(annulus257, harmonic257):
     diag = level_diagnostics(harmonic257)
-    depth = annulus257.interior_depth()
-    cells = diag.cells & (depth >= 2)
+    cells = diag.trusted
     lhs = diag.inf_lap[cells]
     rhs = diag.curvature[cells] * diag.grad_norm[cells] ** 3   # n = 2
     rel = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))

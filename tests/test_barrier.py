@@ -185,8 +185,7 @@ def test_halved_curvature_fails_zeta_check(cap_harmonic257):
     w = cap_harmonic257
     diag = level_diagnostics(w)
     zeta = zeta_from_field(w, diag=diag)
-    depth = w.ring.interior_depth()
-    C = float(np.max(diag.grad_norm[diag.cells & (depth >= 2)]))
+    C = float(np.max(diag.grad_norm[diag.trusted]))
     prof = tune_m(power(3.0), zeta, 1.0, C, 1.0)
     rep = verify_subsolution(w, prof, power(3.0), zeta=zeta, diag=diag)
     assert rep.all_pass
@@ -201,8 +200,7 @@ def test_implication_chain(cap_harmonic257):
     w = cap_harmonic257
     diag = level_diagnostics(w)
     zeta = zeta_from_field(w, diag=diag)
-    depth = w.ring.interior_depth()
-    cells = diag.cells & (depth >= 2)
+    cells = diag.trusted
     wv = np.clip(w.values[cells], 0.0, 1.0)
     envelope = diag.inf_lap[cells] / diag.grad_norm[cells] ** 5
     nonneg = diag.inf_lap[cells] >= 0

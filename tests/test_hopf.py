@@ -130,8 +130,7 @@ def test_scaling_custom_reverified(cap_harmonic257):
     of = custom(h=lambda t: np.asarray(t) + np.asarray(t) ** 3, t_max=1e3)
     diag = level_diagnostics(w)
     z = zeta_from_field(w, diag=diag)
-    depth = w.ring.interior_depth()
-    C = float(np.max(diag.grad_norm[diag.cells & (depth >= 2)]))
+    C = float(np.max(diag.grad_norm[diag.trusted]))
     prof = tune_m(of, z, 1.0, C, 1.0)
     rep = __import__("hopflab").verify_subsolution(w, prof, of, zeta=z, diag=diag)
     assert rep.all_pass
@@ -175,8 +174,7 @@ def test_lipschitz_cap_outer_ring(cap_rings257):
     w = solve_harmonic(ring)
     diag = level_diagnostics(w)
     z = zeta_from_field(w, diag=diag)
-    depth = ring.interior_depth()
-    C_w = float(np.max(diag.grad_norm[diag.cells & (depth >= 2)]))
+    C_w = float(np.max(diag.grad_norm[diag.trusted]))
     # the super barrier's top value must dominate the outer data of u
     prof = tune_m(of, z, 1.0, C_w, 1.0 + 1e-5)
     rep = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier_profile=prof)

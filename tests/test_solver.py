@@ -11,8 +11,8 @@ from hopflab import (Mask, ScalarField, SolveOptions, custom, gradient_bounds,
                      level_diagnostics, make_annulus, operator_residual, power,
                      solve_h_potential, solve_harmonic, solver, trace_flow_line)
 from hopflab.geometry import convexity_midpoint_check
-from hopflab.solver import GradientBounds, _dissection_order, _node_gradients
-from hopflab.errors import DegenerateGradient, StagnationPoint
+from hopflab.solver import GradientBounds, _dissection_order, node_gradients
+from hopflab.errors import DegenerateGradient, OutOfRange, StagnationPoint
 
 
 def annulus_radius(ring):
@@ -145,9 +145,9 @@ def test_curvature_radial(annulus129, harmonic129):
     assert float(rel.max()) < 0.02
 
 
-def test_inf_laplacian_identity(annulus129, harmonic129):
+def test_inf_laplacian_identity(harmonic129):
     diag = level_diagnostics(harmonic129)
-    cells = diag.cells & (annulus129.interior_depth() >= 2)
+    cells = diag.trusted
     lhs = diag.inf_lap[cells]
     rhs = diag.curvature[cells] * diag.grad_norm[cells] ** 3
     rel = np.abs(lhs - rhs) / np.abs(rhs)
@@ -264,21 +264,21 @@ def test_gradient_bounds_match_per_node_reference(name, request):
 def test_node_gradients_central_then_one_sided(cap_harmonic257):
     w = cap_harmonic257
     v, h, valid = w.values, w.grid.h, w.valid_mask()
-    gx, gy = _node_gradients(w)
+    gx, gy = node_gradients(v, valid, h)
     for g, axis in ((gx, 1), (gy, 0)):
         for j, i in zip(*np.nonzero(valid)):
             step = (0, 1) if axis == 1 else (1, 0)
-            nb = []
-            for s in (1, -1):
+            nb = {}
+            for s in (2, 1, -1, -2):
                 jj, ii = j + s * step[0], i + s * step[1]
                 inside = 0 <= jj < v.shape[0] and 0 <= ii < v.shape[1]
-                nb.append(v[jj, ii] if inside and valid[jj, ii] else None)
-            if nb[0] is not None and nb[1] is not None:
-                expect = (nb[0] - nb[1]) / (2 * h)
-            elif nb[0] is not None:
-                expect = (nb[0] - v[j, i]) / h
-            elif nb[1] is not None:
-                expect = (v[j, i] - nb[1]) / h
+                nb[s] = v[jj, ii] if inside and valid[jj, ii] else None
+            if nb[1] is not None and nb[-1] is not None:
+                expect = (nb[1] - nb[-1]) / (2 * h)
+            elif nb[1] is not None and nb[2] is not None:
+                expect = (-3 * v[j, i] + 4 * nb[1] - nb[2]) / (2 * h)
+            elif nb[-1] is not None and nb[-2] is not None:
+                expect = -((-3 * v[j, i] + 4 * nb[-1] - nb[-2]) / (2 * h))
             else:
                 expect = np.nan
             assert g[j, i] == expect or (np.isnan(expect) and np.isnan(g[j, i]))
@@ -673,6 +673,22 @@ def test_gradient_bounds_degenerate(annulus129):
     u = solve_h_potential(annulus129, power(2.0), inner_value=1.0, outer_value=1.0)
     with pytest.raises(DegenerateGradient):
         gradient_bounds(u, annulus129)
+
+
+@pytest.fixture(scope="module")
+def ringless65():
+    return dataclasses.replace(solve_harmonic(make_annulus(1.0, 2.0, resolution=65)),
+                               ring=None)
+
+
+def test_gradient_bounds_of_a_ringless_field_is_out_of_range(ringless65):
+    with pytest.raises(OutOfRange, match="field carries no ring"):
+        gradient_bounds(ringless65)
+
+
+def test_operator_residual_of_a_ringless_field_is_out_of_range(ringless65):
+    with pytest.raises(OutOfRange, match="field carries no ring"):
+        operator_residual(ringless65, power(2.0))
 
 
 # --- flow lines --------------------------------------------------------------
