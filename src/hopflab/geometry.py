@@ -246,25 +246,12 @@ class ConvexDomain:
     def inside(self, pts, smoothing: float = 0.0):
         return self.level(pts, smoothing) < 0.0
 
-    def anchor(self):
-        """A point strictly inside."""
-        raise NotImplementedError
-
     def bbox(self):
         raise NotImplementedError
 
     def boundary(self, n: int = 2048, smoothing: float = 0.0):
-        """Boundary polyline by radial bisection from the anchor."""
-        cx, cy = self.anchor()
-        angles = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        (x0, x1), (y0, y1) = self.bbox()
-        r_hi = 2.0 * max(x1 - x0, y1 - y0) + 1.0
-        center = np.array([cx, cy])
-        # ~(level >= 0) rather than level < 0: a NaN level counts as inside
-        r = bisect(lambda mid: ~(self.level(center + mid[:, None] * dirs, smoothing) >= 0.0),
-                   np.zeros(n), np.full(n, r_hi), 60)
-        return center + r[:, None] * dirs
+        """Boundary polyline of n vertices, counterclockwise."""
+        raise NotImplementedError
 
     def signed_distance(self, pts, smoothing: float = 0.0):
         """Accurate signed distance via the boundary polyline of
@@ -434,11 +421,19 @@ class DiniCap(ConvexDomain):
         cut = 2.0 * t * self.eps.eval(np.minimum(t, self.eps.t_cap)) - y
         return _smooth_max(disk, cut, s)
 
-    def anchor(self):
-        return (0.0, self.r_d)
-
     def bbox(self):
         return (-self.r_d, self.r_d), (0.0, 2 * self.r_d)
+
+    def boundary(self, n: int = 2048, smoothing: float = 0.0):
+        """Boundary polyline by radial bisection from the disk centre (0, r_d),
+        out to twice the bounding box's side plus one."""
+        angles = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        center = np.array([0.0, self.r_d])
+        # ~(level >= 0) rather than level < 0: a NaN level counts as inside
+        r = bisect(lambda mid: ~(self.level(center + mid[:, None] * dirs, smoothing) >= 0.0),
+                   np.zeros(n), np.full(n, 4.0 * self.r_d + 1.0), 60)
+        return center + r[:, None] * dirs
 
     def descriptor(self):
         return (f"domain dini_cap r_d {self.r_d!r} smoothing {self.smoothing!r} "

@@ -74,19 +74,10 @@ def _block(path, name, rows, dtype, grid: Grid):
 
 
 def write_table(path, header: list[str], rows):
-    """Comma-separated table with a header row, full round-trip precision."""
-    path = Path(path)
+    """Comma-separated table of int and float cells with a header row, full
+    round-trip precision."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for c in row:
-            if isinstance(c, (bool, np.bool_)):
-                cells.append(str(bool(c)))
-            elif isinstance(c, (int, np.integer)):
-                cells.append(str(int(c)))
-            elif isinstance(c, (float, np.floating)):
-                cells.append(repr(float(c)))
-            else:
-                cells.append(str(c))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(",".join(str(int(c)) if isinstance(c, (int, np.integer))
+                              else repr(float(c)) for c in row))
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -290,11 +290,6 @@ class HoelderReport:
     norm_v: float
     passed: bool
 
-    def to_text(self) -> str:
-        return (f"hoelder lhs {self.lhs!r}\n"
-                f"norm_u {self.norm_u!r}\nnorm_v {self.norm_v!r}\n"
-                f"pass {self.passed}\n")
-
 
 def orlicz_holder_check(u: ScalarField, v: ScalarField,
                         of: OrliczFunction) -> HoelderReport:

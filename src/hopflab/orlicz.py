@@ -18,9 +18,8 @@ import numpy as np
 from .errors import (InversionFailure, NonMonotone, NonzeroOrigin, OutOfRange,
                      Unbounded)
 from .pchip import Pchip
-from .quadrature import adaptive_simpson, bisect, cumulative_trapezoid
+from .quadrature import bisect, cumulative_trapezoid
 
-QUAD_TOL = 1e-10          # absolute tolerance for F, F* quadrature
 COERCIVITY_RATIO_MAX = 10.0   # pass threshold for sup/inf of h(t)/t^(p-1)
 DELTA2_CAP = 1e4          # doubling ratios above this count as unbounded growth
 CONDITION_T_LO = 1e-6     # check_conditions samples h on [t_max * this, t_max / 2]
@@ -241,16 +240,12 @@ def evaluate(of: OrliczFunction, t: float) -> EvalRecord:
     """All companions at one point: F, h, g, F*, R."""
     if t < 0 or t > of.t_max:
         raise OutOfRange(f"t = {t!r} outside [0, {of.t_max!r}]")
-    if of.kind == "power":
-        F = float(of.F(t))
-        Fstar = float(of.Fstar(t))
-    else:
-        F = adaptive_simpson(lambda x: float(of.h(np.array([x]))[0]), 0.0, t, QUAD_TOL)
-        Fstar = adaptive_simpson(lambda x: float(of.g(np.array([x]))[0]), 0.0, t, QUAD_TOL)
     h = float(of.h(np.array([t]))[0])
+    # g first: above h(t_max) it raises InversionFailure, where F* would
+    # raise OutOfRange
     g = float(of.g(np.array([t]))[0])
     R = float(of.R(np.array([t]))[0]) if t > 0 else np.inf
-    return EvalRecord(F=F, h=h, g=g, Fstar=Fstar, R=R)
+    return EvalRecord(F=float(of.F(t)), h=h, g=g, Fstar=float(of.Fstar(t)), R=R)
 
 
 def young_gap(of: OrliczFunction, a: float, b: float) -> float:

@@ -1,5 +1,5 @@
-"""Scalar quadrature (adaptive Simpson, dyadic integrals toward a singular
-endpoint, the cumulative trapezoid rule) and vector bisection."""
+"""Scalar quadrature (dyadic integrals toward a singular endpoint, the
+cumulative trapezoid rule) and vector bisection."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(20)
-SIMPSON_MAX_DEPTH = 48    # halvings before adaptive Simpson accepts a panel
 DYADIC_MAX_SEGMENTS = 3000    # dyadic segments integral_to_zero sums at most
 TAIL_WINDOW = 24          # trailing segments that classify the tail (at most)
 
@@ -29,31 +28,6 @@ def cumulative_trapezoid(y, x):
     out = np.zeros(len(x))
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
     return out
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Integrate f on [a, b] by adaptive Simpson to absolute tolerance tol,
-    halving at most SIMPSON_MAX_DEPTH times."""
-    if b == a:
-        return 0.0
-
-    def _simpson(x0, f0, x2, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = f(x1)
-        return x1, f1, (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-
-    def _recurse(x0, f0, x2, f2, whole, x1, f1, eps, depth):
-        lm, flm, left = _simpson(x0, f0, x1, f1)
-        rm, frm, right = _simpson(x1, f1, x2, f2)
-        err = left + right - whole
-        if depth <= 0 or abs(err) <= 15.0 * eps:
-            return left + right + err / 15.0
-        return (_recurse(x0, f0, x1, f1, left, lm, flm, 0.5 * eps, depth - 1)
-                + _recurse(x1, f1, x2, f2, right, rm, frm, 0.5 * eps, depth - 1))
-
-    fa, fb = f(a), f(b)
-    m, fm, whole = _simpson(a, fa, b, fb)
-    return _recurse(a, fa, b, fb, whole, m, fm, tol, SIMPSON_MAX_DEPTH)
 
 
 def gauss_segment(phi, a: float, b: float) -> float:

@@ -236,6 +236,15 @@ def test_verify_damaged_artifact_exit_1(solved65, tmp_path, capsys, name, damage
     assert not (out / "verify_summary.txt").exists()
 
 
+def test_verify_on_another_grid_exit_1(solved65, tmp_path, capsys):
+    cfg, solved = solved65
+    out = tmp_path / "out"
+    shutil.copytree(solved, out)
+    assert main(["verify", "--config", cfg, "--out", str(out), "--grid", "67"]) == 1
+    assert "produced on a different grid" in capsys.readouterr().err
+    assert not (out / "verify_summary.txt").exists()
+
+
 def test_solve_max_iter_one_exit_3(tmp_path):
     cfg = write_config(tmp_path / "run.ini", ANNULUS_65 + """
 [solver]
@@ -316,17 +325,37 @@ def test_fractional_count_exit_1(tmp_path, capsys, text, named):
      "[grid] extent"),
     (CAP_97.replace("a = 0.5", "a = 0.5\nt_cap = 0.2"), "[geometry] r_d"),
     (CAP_97.replace("r_d = 0.25", "r_d = 0"), "[geometry] r_d"),
+    ("[function\nkind = power\n", "cannot parse"),
+    (ANNULUS_65.replace("kind = power", "kind = powr"), "unknown function kind 'powr'"),
+    (ANNULUS_65.replace("kind = annulus", "kind = square"), "unknown geometry 'square'"),
+    (CAP_97.replace("kind = power\na", "kind = holder\na"), "unknown modulus 'holder'"),
+    (CAP_97.replace("ring = inner", "ring = middle"), "ring must be inner or outer"),
+    (ANNULUS_65.replace("kind = power", "kind = custom"), "custom function needs a table"),
 ], ids=["delta_below_1e-8", "delta_token", "delta_increasing", "delta_nan",
         "tol", "max_iter", "point_token", "radii_token", "point_one_number",
         "radii_negative", "alpha_token", "alpha_zero", "beta_negative", "beta_inf",
         "target_token", "target_nan", "zeta_typo", "c_d_zero", "c_d_negative",
         "t_max_zero", "t_max_negative", "p_below_1", "t_cap_zero", "a_above_1",
         "q_zero", "r1_above_r2", "extent_negative", "extent_cuts_ring",
-        "r_d_above_t_cap", "r_d_zero"])
+        "r_d_above_t_cap", "r_d_zero", "unparsable", "function_kind", "geometry_kind",
+        "modulus_kind", "ring_middle", "custom_without_table"])
 def test_bad_value_exit_1_before_any_work(tmp_path, capsys, text, named):
     cfg = write_config(tmp_path / "run.ini", text)
     for command in ("check", "solve"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--config", "missing.ini"], "missing.ini does not exist"),
+    (["--config", "run.ini", "--p", "0.5"], "[function] p"),
+], ids=["missing_config", "p_flag_below_1"])
+def test_bad_command_line_exit_1(tmp_path, capsys, monkeypatch, args, named):
+    monkeypatch.chdir(tmp_path)
+    write_config("run.ini", ANNULUS_65)
+    for command in ("check", "solve"):
+        assert main([command, *args, "--out", "out"]) == 1
         assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -391,6 +420,28 @@ def test_full_cap_pipeline(tmp_path):
     assert main(["check", "--config", cfg, "--out", out]) == 0
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     assert main(["verify", "--config", cfg, "--out", out]) == 0
+
+
+def test_annulus_modulus_zeta_pipeline(tmp_path):
+    # zeta from the modulus and the harmonic's gradient bounds; the profile's
+    # modulus parameter is not a number and stays out of zeta.txt
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65 + "[barrier]\nzeta = modulus\n")
+    out = str(tmp_path / "out")
+    for command in ("check", "solve", "verify"):
+        assert main([command, "--config", cfg, "--out", out]) == 0
+    lines = (tmp_path / "out" / "zeta.txt").read_text().splitlines()
+    assert lines[0] == "zeta kind modulus"
+    assert [line.split()[1] for line in lines if line.startswith("param ")] == ["C", "C_D", "c"]
+
+
+def test_solve_logpower_cap(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", CAP_97.replace(
+        "kind = power\na = 0.5", "kind = logpower\nq = 2"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "solve_report.txt").read_text().splitlines()
+    outer = next(line for line in report if line.startswith("outer domain"))
+    assert outer.endswith("modulus logpower q 2.0 t_cap 0.5")
 
 
 def test_outer_ring_pipeline(tmp_path):

@@ -70,6 +70,37 @@ def test_eval_out_of_range():
         evaluate(power(2.0, t_max=10.0), 11.0)
 
 
+def tabulated(h):
+    """The law h tabulated in 200 rows on [0, 10]."""
+    ts = np.linspace(0.0, 10.0, 200)
+    return custom(table=(ts, h(ts)))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 3.0, 7.5, 10.0])
+def test_eval_tabulated_reads_the_law_antiderivatives(t):
+    # one F and one F* per law: evaluate reads the ones the solver's energy uses
+    of = tabulated(lambda t: t + t * t / 2)
+    rec = evaluate(of, t)
+    assert rec.F == float(of.F(t))
+    assert rec.Fstar == float(of.Fstar(t))
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 2.0, 3.0])
+def test_eval_tabulated_young_equality(t):
+    # F(t) + F*(h(t)) = t h(t); exactly F = t^2/2 + t^3/6 here
+    of = tabulated(lambda t: t + t * t / 2)
+    rec = evaluate(of, t)
+    gap = rec.F + evaluate(of, rec.h).Fstar - t * rec.h
+    assert abs(gap) <= 1e-6 * t * rec.h
+    assert abs(rec.F - (t * t / 2 + t ** 3 / 6)) <= 1e-6
+
+
+def test_eval_tabulated_above_h_top_fails_to_invert():
+    # h(t_max) = 5, so g has no bracket at 6
+    with pytest.raises(InversionFailure):
+        evaluate(tabulated(lambda t: t / 2), 6.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=st.floats(1.1, 6.0), t=st.floats(1e-6, 100.0))
 def test_inverse_identity_power(p, t):

@@ -114,21 +114,35 @@ def test_certified_barrier_passes_comparison(build, p):
     assert rep.passed, rep.to_text()
 
 
-@st.composite
-def laws(draw):
-    """power(p), or the same law tabulated: 200 rows of h on [0, 100]."""
-    p = draw(exponents)
-    if draw(st.booleans()):
-        return power(p)
+def _stage_residuals(log):
+    """{delta: residuals of that stage's rows}, in schedule order."""
+    stages = {}
+    for _, delta, _, res in log:
+        stages.setdefault(delta, []).append(res)
+    return stages
+
+
+def tabulated(p):
+    """h(t) = t^(p-1) tabulated: 200 rows on [0, 100]."""
     ts = np.linspace(0.0, 100.0, 200)
     return custom(table=(ts, ts ** (p - 1)))
+
+
+@st.composite
+def laws(draw):
+    """power(p), or the same law tabulated."""
+    p = draw(exponents)
+    return power(p) if draw(st.booleans()) else tabulated(p)
 
 
 @settings(max_examples=12, deadline=None)
 @given(build=ring_builders(), of=laws())
 @example(build=lambda: make_ring(Disk((0.0, 0.0), 1.0), Disk((0.0, 0.0), 2.0),
                                  Grid.square(2.05, 65)),
-         of=custom(table=(np.linspace(0.0, 100.0, 200),) * 2))
+         of=tabulated(2.0))
+@example(build=lambda: make_ring(Disk((0.091, 0.0), 0.638), Disk((0.0, 0.0), 2.094),
+                                 Grid.square(1.025 * 2.094, 71)),
+         of=tabulated(4.9375))
 def test_reused_factor_matches_factorising_every_step(build, of):
     # GMRES directions preconditioned with the newest factor take the Newton
     # iterates of a solve that factorises every step
@@ -142,7 +156,19 @@ def test_reused_factor_matches_factorising_every_step(build, of):
         m.setattr(solver, "_gmres", lambda A, precondition, b: (None, solver.KRYLOV_MAX))
         ref = solve_h_potential(ring, of)
     assert u.meta["converged"] == ref.meta["converged"]
-    assert len(u.meta["log"]) == len(ref.meta["log"])
+    # a stage may stop one iterate later where the two solves' residuals at
+    # that row straddle the stopping threshold (the pinned ring: 9.80e-9 and
+    # 1.0024e-8 around 1e-8). They are the same iterate up to the inexact
+    # directions, within a factor 2 of each other, while the rows around them
+    # are thousands of times apart
+    stages, ref_stages = _stage_residuals(u.meta["log"]), _stage_residuals(ref.meta["log"])
+    assert list(stages) == list(ref_stages)
+    for delta, rows in stages.items():
+        short, long = sorted((rows, ref_stages[delta]), key=len)
+        assert len(long) - len(short) <= 1
+        if len(long) > len(short):
+            a, b = short[-1], long[len(short) - 1]
+            assert max(a, b) <= 2.0 * min(a, b)
     assert float(np.max(np.abs(u.values - ref.values))) <= 1e-9
     # grids of 65-97 nodes a side have no half grid to start from; each step
     # after the first makes at most one capped attempt, and a miss factorises.

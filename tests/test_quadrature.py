@@ -2,25 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopflab.quadrature import (adaptive_simpson, bisect, cumulative_trapezoid,
-                                gauss_segment, integral_to_zero)
-
-
-def test_simpson_polynomial_exact():
-    val = adaptive_simpson(lambda x: 3 * x ** 2, 0.0, 2.0)
-    assert abs(val - 8.0) < 1e-12
-
-
-def test_simpson_tolerance():
-    val = adaptive_simpson(np.sin, 0.0, np.pi, tol=1e-12)
-    assert abs(val - 2.0) < 1e-10
-
-
-@settings(max_examples=40, deadline=None)
-@given(a=st.floats(0.1, 3.0), b=st.floats(3.5, 8.0))
-def test_simpson_exp(a, b):
-    val = adaptive_simpson(np.exp, a, b, tol=1e-11)
-    assert abs(val - (np.exp(b) - np.exp(a))) < 1e-8
+from hopflab.quadrature import bisect, cumulative_trapezoid, gauss_segment, integral_to_zero
 
 
 def test_gauss_segment_smooth():

@@ -9,12 +9,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_benchmark_tracer_installs():
+    # the benchmark's tracer wraps each of its FUNCTIONS (and ConvexRing.sdf)
+    # by name, so a traced command exits 1 once any of them is gone
+    code = (f"import importlib, sys\nsys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+            "import tracer\ntracer.install(tracer.Tracer('t'))\n"
+            "for name in tracer.FUNCTIONS:\n"
+            "    mod, attr = name.split('.')\n"
+            "    assert callable(getattr(importlib.import_module('hopflab.' + mod), attr))\n")
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
 
 
 def test_cap_pipeline_script():
