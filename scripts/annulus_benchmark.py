@@ -51,7 +51,7 @@ def main():
 
     ring = make_annulus(1.0, 2.0, resolution=257)
     w = solve_harmonic(ring)
-    gb = gradient_bounds(w, ring)
+    gb = gradient_bounds(w)
     print(f"gradient bounds: c = {gb.c:.5f} (exact {1 / (2 * np.log(2)):.5f}), "
           f"C = {gb.C:.5f} (exact {1 / np.log(2):.5f})")
     rep = hopf_constant(w, (2.0, 0.0), [0.4, 0.2, 0.1, 0.05])

@@ -26,12 +26,12 @@ def main():
     args = ap.parse_args()
 
     cap = build_dini_cap(args.r_d, PowerModulus(args.modulus_a))
-    ring = make_cap_ring(cap, args.r_d, "inner", resolution=args.resolution)
+    ring = make_cap_ring(cap, "inner", resolution=args.resolution)
     print(f"inner ring: gap {ring.gap:.4f}, spacing {ring.grid.h:.5f}, "
           f"{int(ring.interior().sum())} interior nodes")
 
     w = solve_harmonic(ring)
-    gb = gradient_bounds(w, ring)
+    gb = gradient_bounds(w)
     diag = level_diagnostics(w)
     zeta = zeta_from_field(w, diag=diag)
     C = float(np.max(diag.grad_norm[diag.trusted]))

@@ -368,13 +368,12 @@ def compose_barrier(w: ScalarField, prof: BarrierProfile) -> ScalarField:
         "inner_value": float(prof.eval_f(w.meta.get("inner_value", 1.0))),
         "outer_value": float(prof.eval_f(w.meta.get("outer_value", 0.0))),
         "delta_final": w.meta.get("delta_final", 1e-6),
-        "composed_from": w.meta.get("operator", "unknown"),
     })
     return out
 
 
 def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,
-                       zeta: ZetaProfile | None = None,
+                       zeta: ZetaProfile,
                        diag: LevelDiagnostics | None = None) -> SubsolutionReport:
     """Three pointwise certificates on cells at least two cells inside:
 
@@ -410,11 +409,7 @@ def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,
     margin_point = lhs - rhs_point
     worst_point = float(np.min(margin_point))
 
-    zl = zeta.eval(wv) if zeta is not None else None
-    if zl is None:
-        margin_zeta = margin_point
-    else:
-        margin_zeta = lhs - zl
+    margin_zeta = lhs - zeta.eval(wv)
     worst_zeta = float(np.min(margin_zeta))
     tol_red = MARGIN_FACTOR * max(float(np.median(np.abs(lhs))), 1e-300)
 

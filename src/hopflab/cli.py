@@ -246,8 +246,7 @@ def _build_ring(cfg: RunConfig) -> geometry.ConvexRing:
                                      extent=cfg.extent)
     eps = _build_modulus(cfg)
     cap = geometry.build_dini_cap(cfg.r_d, eps)
-    return geometry.make_cap_ring(cap, cfg.r_d, cfg.ring_side,
-                                  resolution=cfg.resolution)
+    return geometry.make_cap_ring(cap, cfg.ring_side, resolution=cfg.resolution)
 
 
 def _solve_options(cfg: RunConfig) -> solver.SolveOptions:
@@ -312,7 +311,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     gridio.write_table(out / "convergence.csv",
                        ["iteration", "delta", "energy", "residual"],
                        [(i, d, e, r) for (i, d, e, r) in u.meta["log"]])
-    gb = solver.gradient_bounds(w, ring)
+    gb = solver.gradient_bounds(w)
     lines = ["solve report",
              ring.descriptor().rstrip(),
              f"harmonic_residual {w.meta['residual']!r}",
@@ -336,8 +335,8 @@ _SOLVED_KEYS = ("inner_value", "outer_value", "delta_final")
 
 
 def _read_solved(out: Path, name: str, ring: geometry.ConvexRing) -> solver.ScalarField:
-    """A field written by solve, with the boundary data and final delta of
-    its solve_report.txt."""
+    """A field written by solve on this ring (its grid and node mask), with
+    the boundary data and final delta of its solve_report.txt."""
     path = out / name
     rep = out / "solve_report.txt"
     for need in (path, rep):
@@ -351,6 +350,8 @@ def _read_solved(out: Path, name: str, ring: geometry.ConvexRing) -> solver.Scal
         raise MissingArtifact(f"{path} has no mask block; run solve again")
     if (grid.nx, grid.ny) != (ring.grid.nx, ring.grid.ny):
         raise MissingArtifact(f"{path} was produced on a different grid")
+    if not np.array_equal(mask, ring.mask):
+        raise MissingArtifact(f"{path} was produced on a different ring")
     meta = {}
     for number, line in enumerate(rep.read_text().splitlines(), 1):
         parts = line.split()
@@ -360,12 +361,9 @@ def _read_solved(out: Path, name: str, ring: geometry.ConvexRing) -> solver.Scal
             except ValueError:
                 raise MissingArtifact(f"{rep} line {number} is not a number: {line!r}; "
                                       "run solve again") from None
-        if parts[:1] == ["converged"]:
-            meta["converged"] = parts[1:] == ["True"]
     missing = [key for key in _SOLVED_KEYS if key not in meta]
     if missing:
         raise MissingArtifact(f"{rep} has no {' / '.join(missing)} line; run solve again")
-    meta["operator"] = name
     return solver.ScalarField(ring.grid, values, mask, ring, meta)
 
 
@@ -381,7 +379,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     C_meas = float(np.max(diag.grad_norm[diag.trusted]))
 
     if cfg.zeta_source == "modulus":
-        gb = solver.gradient_bounds(w, ring)
+        gb = solver.gradient_bounds(w)
         zeta = barrier_mod.zeta_from_modulus(_build_modulus(cfg), gb.c, gb.C, cfg.c_d)
     else:
         zeta = barrier_mod.zeta_from_field(w, diag=diag)
@@ -404,9 +402,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     if outer_mode:
-        cmp_rep = hopf.outer_lipschitz_check(u, ring, of, y=(0.0, 0.0),
-                                             r_ref=cfg.r_d, barrier_profile=prof,
-                                             harmonic=w)
+        cmp_rep = hopf.outer_lipschitz_check(u, ring, of, cfg.r_d, y=(0.0, 0.0),
+                                             barrier=(w, prof))
         (out / "lipschitz.txt").write_text(cmp_rep.to_text())
     else:
         v = barrier_mod.compose_barrier(w, prof)

@@ -389,7 +389,7 @@ class Polygon(ConvexDomain):
         return np.concatenate(pts, axis=0)
 
     def descriptor(self):
-        vs = " ".join(f"{x!r} {y!r}" for x, y in self.vertices)
+        vs = " ".join(f"{x!r} {y!r}" for x, y in self.vertices.tolist())
         return f"domain polygon n {len(self.vertices)} vertices {vs}"
 
 
@@ -703,16 +703,14 @@ class RingPair:
     outer_ring: ConvexRing
 
 
-def make_cap_ring(cap: DiniCap, r_d: float, side: str,
-                  resolution: int = 257) -> ConvexRing:
+def make_cap_ring(cap: DiniCap, side: str, resolution: int = 257) -> ConvexRing:
     """One of the two barrier rings carried by a cap domain K, on a grid
     that leaves PAD_CELLS empty cells around the outer domain.
 
     inner: K minus the half-radius ball at (0, r_d);
     outer: the 3 r_d ball at (0, -r_d) minus the point reflection -K.
     """
-    if abs(r_d - cap.r_d) > 1e-12 * max(1.0, r_d):
-        raise OutOfRange("r_d must match the cap")
+    r_d = cap.r_d
     if side == "inner":
         inner, outer = Disk((0.0, r_d), r_d / 2), cap
     elif side == "outer":
@@ -728,10 +726,10 @@ def make_cap_ring(cap: DiniCap, r_d: float, side: str,
     return make_ring(inner, outer, grid)
 
 
-def make_rings(cap: DiniCap, r_d: float, resolution: int = 257) -> RingPair:
+def make_rings(cap: DiniCap, resolution: int = 257) -> RingPair:
     """Both barrier rings carried by a cap domain K (see make_cap_ring)."""
-    return RingPair(make_cap_ring(cap, r_d, "inner", resolution),
-                    make_cap_ring(cap, r_d, "outer", resolution))
+    return RingPair(make_cap_ring(cap, "inner", resolution),
+                    make_cap_ring(cap, "outer", resolution))
 
 
 def rasterize(dom: ConvexDomain, grid: Grid):

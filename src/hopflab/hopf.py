@@ -154,7 +154,6 @@ class ComparisonReport:
 
 
 def comparison_check(u: ScalarField, v: ScalarField, of: OrliczFunction,
-                     tol_cmp: float | None = None,
                      direction: str = "sub") -> ComparisonReport:
     """The comparison principle between a discrete solution u and a barrier v.
 
@@ -164,8 +163,8 @@ def comparison_check(u: ScalarField, v: ScalarField, of: OrliczFunction,
     fields then describe the barrier v.
 
     Both residuals must stay within RESIDUAL_MARGIN times the flux scale of
-    u on trusted cells. tol_cmp bounds the ordering violation; by default
-    twice the error of the harmonic annulus benchmark at u's resolution.
+    u on trusted cells. The ordering violation is bounded by tol_cmp, twice
+    the error of the harmonic annulus benchmark at u's resolution.
     Boundary ordering violations raise PreconditionFail (an input error);
     residual shortfalls are recorded on the report.
     """
@@ -196,8 +195,7 @@ def comparison_check(u: ScalarField, v: ScalarField, of: OrliczFunction,
     sub_ok = worst_sub >= -tol_res
     sol_ok = worst_sol <= tol_res
 
-    if tol_cmp is None:
-        tol_cmp = 2.0 * discretization_benchmark(max(u.grid.nx, u.grid.ny))
+    tol_cmp = 2.0 * discretization_benchmark(max(u.grid.nx, u.grid.ny))
     interior = u.interior_mask()
     diff = lo.values - hi.values
     diff[~interior] = -np.inf
@@ -232,24 +230,24 @@ class LipschitzReport:
 
 
 def outer_lipschitz_check(u: ScalarField, ring: ConvexRing, of: OrliczFunction,
-                          y=(0.0, 0.0), r_ref: float | None = None,
-                          barrier_profile=None,
-                          harmonic: ScalarField | None = None) -> LipschitzReport:
-    """Bound u <= C * M * dist(x, K1) near the boundary point y.
+                          r_ref: float, y=(0.0, 0.0), barrier=None) -> LipschitzReport:
+    """Bound u <= C * M * dist(x, K1) on the ball of radius r_ref around the
+    boundary point y.
 
-    u must vanish on the ring's inner boundary (the obstacle K1) near y. The
-    super-solution f(1) - f(w) built from the ring's harmonic potential w
-    (`harmonic`, 1 on the inner boundary and 0 on the outer; solved here
-    when not given) is compared against u, then the constant C is measured
-    directly on cells in the reference ball.
+    u must vanish on the ring's inner boundary (the obstacle K1) near y. Given
+    barrier = (w, prof), with w the ring's harmonic potential (1 on the inner
+    boundary and 0 on the outer) and prof a barrier profile over it, the
+    super-solution f(1) - f(w) is compared against u; the constant C is then
+    measured directly on cells in the reference ball.
     """
-    if abs(u.meta.get("inner_value", 0.0)) > 1e-12:
+    inner_value = u.meta.get("inner_value")
+    if inner_value is None:
+        raise PreconditionFail("u carries no boundary data")
+    if abs(inner_value) > 1e-12:
         raise PreconditionFail("u must vanish on the inner boundary")
     if float(u.interior_values().min()) < -1e-10:
         raise PreconditionFail("u must be nonnegative")
     y = np.asarray(y, dtype=float)
-    if r_ref is None:
-        r_ref = ring.gap
 
     pts = ring.grid.points()
     dist_y = np.hypot(pts[..., 0] - y[0], pts[..., 1] - y[1])
@@ -261,13 +259,13 @@ def outer_lipschitz_check(u: ScalarField, ring: ConvexRing, of: OrliczFunction,
         return LipschitzReport(0.0, 0.0, True, None, int(near.sum()))
 
     comparison = None
-    if barrier_profile is not None:
+    if barrier is not None:
         from .barrier import compose_barrier
-        w = harmonic if harmonic is not None else solve_harmonic(ring)
-        fw = compose_barrier(w, barrier_profile)
-        vbar = fw.copy_with(barrier_profile.f1 - fw.values, meta={
-            "inner_value": barrier_profile.f1 - fw.meta["inner_value"],
-            "outer_value": barrier_profile.f1 - fw.meta["outer_value"],
+        w, prof = barrier
+        fw = compose_barrier(w, prof)
+        vbar = fw.copy_with(prof.f1 - fw.values, meta={
+            "inner_value": prof.f1 - fw.meta["inner_value"],
+            "outer_value": prof.f1 - fw.meta["outer_value"],
             "delta_final": w.meta.get("delta_final", 1e-6)})
         comparison = comparison_check(u, vbar, of, direction="super")
 

@@ -3,8 +3,8 @@
 F(t) = integral of the flow law h on [0, t]; companions are h = F', the
 inverse g = h^-1, the Legendre transform F*(t) = integral of g, and
 R = F''/F'. Power laws h(t) = t^(p-1) are handled in closed form; custom
-laws come in as callables or sampled tables and are backed by monotone
-cubic interpolation.
+laws come in as sampled tables and are backed by monotone cubic
+interpolation.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class OrliczFunction:
     the origin and monotonicity checks.
     """
 
-    def __init__(self, kind: str, h_fn, t_max: float, p: float | None = None,
-                 h_prime_fn=None, table: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, kind: str, h_fn, t_max: float, h_prime_fn, p: float | None = None,
+                 table: tuple[np.ndarray, np.ndarray] | None = None):
         self.kind = kind
         self.p = p
         self.t_max = float(t_max)
@@ -82,13 +82,7 @@ class OrliczFunction:
         return float(self.h(np.array([self.t_max]))[0])
 
     def h_prime(self, t):
-        t = np.asarray(t, dtype=float)
-        if self._h_prime is not None:
-            return self._h_prime(t)
-        # central differences with relative step
-        dt = 1e-6 * np.maximum(t, 1e-6 * self.t_max)
-        lo = np.maximum(t - dt, 0.0)
-        return (self._h(t + dt) - self._h(lo)) / (t + dt - lo)
+        return self._h_prime(np.asarray(t, dtype=float))
 
     def F(self, t):
         t = np.asarray(t, dtype=float)
@@ -130,26 +124,22 @@ class OrliczFunction:
 
     # -- cached splines for the custom path ---------------------------------
 
-    def _dense_ts(self):
-        lin = np.linspace(0.0, self.t_max, 8193)
-        geo = np.geomspace(self.t_max * 1e-10, self.t_max, 2049)
-        return np.unique(np.concatenate([lin, geo]))
-
     @cached_property
     def _f_spline(self):
-        if self._table is not None:
-            ts, hs = self._table
-        else:
-            ts = self._dense_ts()
-            hs = self.h(ts)
-        return Pchip(ts, hs, extrapolate=False).antiderivative()
+        return Pchip(*self._table, extrapolate=False).antiderivative()
 
     @cached_property
-    def _fstar_spline(self):
+    def _g_table(self):
+        """(ys, g(ys)) on a dense sample of [0, h(t_max)]: the knots of F* and
+        the table of the conjugate law."""
         ys = np.unique(np.concatenate([
             [0.0], np.linspace(0.0, self.h_top, 8193),
             np.geomspace(self.h_top * 1e-10, self.h_top, 2049)]))
-        return Pchip(ys, self._invert(ys)).antiderivative()
+        return ys, self._invert(ys)
+
+    @cached_property
+    def _fstar_spline(self):
+        return Pchip(*self._g_table).antiderivative()
 
     # -- serialization -------------------------------------------------------
 
@@ -159,7 +149,7 @@ class OrliczFunction:
         out.write(f"kind {self.kind}\n")
         if self.kind == "power":
             out.write(f"p {self.p!r}\n")
-        elif self._table is not None:
+        else:
             out.write(f"table {len(self._table[0])}\n")
             for t, y in zip(*self._table):
                 out.write(f"{t!r} {y!r}\n")
@@ -184,56 +174,36 @@ def power(p: float, t_max: float = 1e6) -> OrliczFunction:
         with np.errstate(divide="ignore"):
             return (p - 1.0) * t ** (p - 2.0)
 
-    return OrliczFunction("power", h_fn, t_max, p=p, h_prime_fn=hp_fn)
+    return OrliczFunction("power", h_fn, t_max, hp_fn, p=p)
 
 
-def custom(h=None, table=None, t_max: float | None = None) -> OrliczFunction:
-    """Custom flow law from a callable or a strictly increasing sample table."""
-    if table is not None:
-        ts = np.asarray(table[0], dtype=float)
-        hs = np.asarray(table[1], dtype=float)
-        if ts[0] > 0.0:
-            ts = np.concatenate([[0.0], ts])
-            hs = np.concatenate([[0.0], hs])
-        if np.any(np.diff(ts) <= 0):
-            raise NonMonotone("table abscissae must increase")
-        if np.any(np.diff(hs) <= 0):
-            raise NonMonotone("table values must increase strictly")
-        if t_max is not None and t_max > ts[-1]:
-            # h would be clamped flat above the table, so not increasing
-            raise OutOfRange(f"t_max = {t_max!r}: above the table's last abscissa "
-                             f"{float(ts[-1])!r}")
-        spline = Pchip(ts, hs, extrapolate=False)
-        spline_d = spline.derivative()
-        return OrliczFunction("custom", lambda t: spline(np.clip(t, 0, ts[-1])),
-                              ts[-1] if t_max is None else t_max,
-                              h_prime_fn=lambda t: spline_d(np.clip(t, 0, ts[-1])),
-                              table=(ts, hs))
-    if h is None:
-        raise ValueError("custom needs a callable h or a table")
-    if t_max is None:
-        raise ValueError("custom callable needs t_max")
-
-    def h_vec(t):
-        return np.asarray(h(np.asarray(t, dtype=float)), dtype=float)
-
-    return OrliczFunction("custom", h_vec, t_max)
+def custom(table, t_max: float | None = None) -> OrliczFunction:
+    """Custom flow law from a strictly increasing sample table (ts, hs)."""
+    ts = np.asarray(table[0], dtype=float)
+    hs = np.asarray(table[1], dtype=float)
+    if ts[0] > 0.0:
+        ts = np.concatenate([[0.0], ts])
+        hs = np.concatenate([[0.0], hs])
+    if np.any(np.diff(ts) <= 0):
+        raise NonMonotone("table abscissae must increase")
+    if np.any(np.diff(hs) <= 0):
+        raise NonMonotone("table values must increase strictly")
+    if t_max is not None and t_max > ts[-1]:
+        # h would be clamped flat above the table, so not increasing
+        raise OutOfRange(f"t_max = {t_max!r}: above the table's last abscissa "
+                         f"{float(ts[-1])!r}")
+    spline = Pchip(ts, hs, extrapolate=False)
+    spline_d = spline.derivative()
+    return OrliczFunction("custom", lambda t: spline(np.clip(t, 0, ts[-1])),
+                          ts[-1] if t_max is None else t_max,
+                          lambda t: spline_d(np.clip(t, 0, ts[-1])), table=(ts, hs))
 
 
 def conjugate(of: OrliczFunction) -> OrliczFunction:
     """The structural function whose flow law is g = h^-1 (so its F is F*)."""
     if of.kind == "power":
         return power(of.p / (of.p - 1.0), t_max=of.t_max ** (of.p - 1.0))
-
-    def g_fn(y):
-        return of._invert(np.clip(np.asarray(y, dtype=float), 0.0, of.h_top))
-
-    def g_prime(y):
-        t = g_fn(y)
-        d = np.asarray(of.h_prime(t), dtype=float)
-        return 1.0 / np.maximum(d, 1e-300)
-
-    return OrliczFunction("custom", g_fn, of.h_top, h_prime_fn=g_prime)
+    return custom(table=of._g_table)
 
 
 def evaluate(of: OrliczFunction, t: float) -> EvalRecord:
@@ -439,20 +409,12 @@ def check_condition_R(of: OrliczFunction, c_samples: list[WeightSample],
                            note="search exhausted; sampled certificate only")
 
 
-def orlicz_norm(field, of: OrliczFunction, cell_area: float | None = None) -> float:
-    """Luxemburg-style norm: the least M with sum F(|u|/M) * dA <= F(1),
-    bisected NORM_STEPS times inside a bracket [M0 / 2^k, M0].
-
-    `field` is a ScalarField (values on its interior mask are integrated)
-    or a plain array with an explicit cell_area.
+def orlicz_norm(values, of: OrliczFunction, cell_area: float) -> float:
+    """Luxemburg-style norm of samples u that each stand for one cell of
+    area dA: the least M with sum F(|u|/M) * dA <= F(1), bisected NORM_STEPS
+    times inside a bracket [M0 / 2^k, M0].
     """
-    if hasattr(field, "interior_values"):
-        u = np.abs(field.interior_values())
-        cell_area = field.grid.h ** 2
-    else:
-        if cell_area is None:
-            raise ValueError("plain arrays need cell_area")
-        u = np.abs(np.asarray(field, dtype=float).ravel())
+    u = np.abs(np.asarray(values, dtype=float).ravel())
     if u.size == 0:
         raise OutOfRange("empty mask")
     umax = float(u.max())

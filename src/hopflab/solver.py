@@ -422,7 +422,7 @@ def solve_harmonic(ring: ConvexRing, opts: SolveOptions | None = None,
     scale = max(1.0, asm.flux_scale(v, of, 0.0))
     energy = asm.energy(v, of, 0.0)
     fld.meta.update(converged=res < max(opts.tol, 1e-7) * scale, energy=energy,
-                    log=[(0, 0.0, energy, res)], operator="power2")
+                    log=[(0, 0.0, energy, res)])
     return fld
 
 
@@ -443,8 +443,7 @@ def solve_h_potential(ring: ConvexRing, of: OrliczFunction,
     _coercivity_warning(of)
     u, J, converged, log, levels = _continuation(ring, of, opts, inner_value, outer_value)
     fld = _solved_field(ring, u, of, opts.delta_schedule[-1], inner_value, outer_value)
-    fld.meta.update(converged=converged, energy=J, log=log, levels=levels,
-                    operator=f"power{of.p}" if of.kind == "power" else "custom")
+    fld.meta.update(converged=converged, energy=J, log=log, levels=levels)
     return fld
 
 
@@ -664,7 +663,7 @@ def operator_residual(fld: ScalarField, of: OrliczFunction,
     res = np.zeros_like(grad)
     interior = fld.mask.ravel() == Mask.INTERIOR
     res[interior] = -grad[interior] / asm.h ** 2
-    return fld.copy_with(res.reshape(fld.values.shape), meta={"kind": "residual"})
+    return fld.copy_with(res.reshape(fld.values.shape), meta={})
 
 
 def _assembly(ring: ConvexRing) -> _Assembly:
@@ -763,11 +762,11 @@ class GradientBounds:
     n_near: int
 
 
-def gradient_bounds(fld: ScalarField, ring: ConvexRing | None = None) -> GradientBounds:
-    """Bounds 0 < c < |grad w| < C from `node_gradients` over the interior:
-    central differences on trusted nodes, and every other interior node
-    whose two components are estimable."""
-    ring = ring or fld.ring
+def gradient_bounds(fld: ScalarField) -> GradientBounds:
+    """Bounds 0 < c < |grad w| < C from `node_gradients` over the interior
+    of the field's ring: central differences on trusted nodes, and every
+    other interior node whose two components are estimable."""
+    ring = fld.ring
     if ring is None:
         raise OutOfRange("field carries no ring")
     interior = ring.interior()

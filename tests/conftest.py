@@ -51,7 +51,7 @@ def harmonic129(annulus129):
 @pytest.fixture(scope="session")
 def cap_rings257():
     cap = build_dini_cap(0.25, PowerModulus(0.5))
-    return make_rings(cap, 0.25, resolution=257)
+    return make_rings(cap, resolution=257)
 
 
 @pytest.fixture(scope="session")

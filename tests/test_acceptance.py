@@ -33,7 +33,7 @@ def test_criterion_01_harmonic_annulus_oracle():
     t0 = time.monotonic()
     ring = make_annulus(1.0, 2.0, resolution=257)
     w = solve_harmonic(ring)
-    gb = gradient_bounds(w, ring)
+    gb = gradient_bounds(w)
     elapsed = time.monotonic() - t0
 
     pts = ring.grid.points()
@@ -103,7 +103,7 @@ def test_criterion_05_comparison_suite():
             r_d = float(rng.uniform(0.2, 0.3))
             a = float(rng.uniform(0.4, 0.9))
             cap = build_dini_cap(r_d, PowerModulus(a))
-            ring = make_rings(cap, r_d, resolution=129).inner_ring
+            ring = make_rings(cap, resolution=129).inner_ring
         else:
             r1 = float(rng.uniform(0.7, 1.3))
             r2 = r1 + float(rng.uniform(0.7, 1.3))

@@ -13,6 +13,12 @@ from hopflab.errors import (InversionOverflow, NotIntegrable, TargetUnreachable,
                             VanishingGradient)
 
 
+def identity_law(t_max):
+    """h(t) = t on [0, t_max], tabulated."""
+    ts = np.linspace(0.0, t_max, 3)
+    return custom(table=(ts, ts))
+
+
 def zero_zeta():
     ts = np.geomspace(1e-10, 1.0, 64)
     return zeta_from_modulus(TableModulus(ts, np.zeros_like(ts) + 0.0), 1.0, 1.0, 1.0)
@@ -126,7 +132,7 @@ def test_log_identity():
 
 
 def test_inversion_overflow_custom_range():
-    of = custom(h=lambda t: np.asarray(t, dtype=float), t_max=2.0)
+    of = identity_law(2.0)
     z = zeta_from_modulus(PowerModulus(0.2), 0.5, 1.0, 5.0)
     with pytest.raises(InversionOverflow):
         build_barrier(of, z, 1.5, 1.0, 1.0)
@@ -154,7 +160,7 @@ def test_tune_monotone_in_target():
 
 
 def test_tune_unreachable_target():
-    of = custom(h=lambda t: np.asarray(t, dtype=float), t_max=0.5)
+    of = identity_law(0.5)
     z = zeta_from_modulus(PowerModulus(0.2), 0.5, 1.0, 5.0)
     with pytest.raises(TargetUnreachable):
         tune_m(of, z, 1.0, 1.0, 50.0)
@@ -175,8 +181,9 @@ def test_identity_barrier_is_harmonic(annulus129, harmonic129):
     # f(w) = w composes to the harmonic field itself: the operator check
     # passes with margin zero (the reduced sufficient conditions do not
     # apply to a profile with vanishing curvature)
-    prof = build_barrier(power(2.0), zero_zeta(), 1.0, 1.0, 1.0)
-    rep = verify_subsolution(harmonic129, prof, power(2.0))
+    zeta = zero_zeta()
+    prof = build_barrier(power(2.0), zeta, 1.0, 1.0, 1.0)
+    rep = verify_subsolution(harmonic129, prof, power(2.0), zeta=zeta)
     assert rep.pass_residual
     assert abs(rep.worst_residual) < rep.tol_residual
 

@@ -162,8 +162,7 @@ def test_solve_report_linear_line(tmp_path):
         assert reused <= krylov <= reused * solver.KRYLOV_MAX
     ring = _build_ring(parse_config(cfg))
     meta = _read_solved(out, "potential.grid", ring).meta
-    assert set(meta) == {"inner_value", "outer_value", "delta_final", "converged",
-                         "operator"}
+    assert set(meta) == {"inner_value", "outer_value", "delta_final"}
 
 
 def test_verify_before_solve_exit_1(tmp_path):
@@ -242,6 +241,17 @@ def test_verify_on_another_grid_exit_1(solved65, tmp_path, capsys):
     shutil.copytree(solved, out)
     assert main(["verify", "--config", cfg, "--out", str(out), "--grid", "67"]) == 1
     assert "produced on a different grid" in capsys.readouterr().err
+    assert not (out / "verify_summary.txt").exists()
+
+
+def test_verify_on_another_ring_exit_1(solved65, tmp_path, capsys):
+    # the same grid with another inner radius: only the node mask differs
+    _, solved = solved65
+    out = tmp_path / "out"
+    shutil.copytree(solved, out)
+    cfg = write_config(tmp_path / "run.ini", ANNULUS_65.replace("r1 = 1.0", "r1 = 1.1"))
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert "produced on a different ring" in capsys.readouterr().err
     assert not (out / "verify_summary.txt").exists()
 
 
@@ -468,7 +478,7 @@ def test_cap_ring_built_once(tmp_path, monkeypatch, side):
     ring = _build_ring(cfg)
     assert len(built) == 1
     monkeypatch.undo()
-    rings = make_rings(build_dini_cap(0.25, PowerModulus(0.5)), 0.25, resolution=97)
+    rings = make_rings(build_dini_cap(0.25, PowerModulus(0.5)), resolution=97)
     expected = rings.inner_ring if side == "inner" else rings.outer_ring
     assert ring.descriptor() == expected.descriptor()
     assert np.array_equal(ring.mask, expected.mask)

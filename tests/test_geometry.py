@@ -26,7 +26,7 @@ def test_log_power_cap_ring_builds_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for side in ("inner", "outer"):
-            make_cap_ring(build_dini_cap(0.25, eps), 0.25, side, resolution=65)
+            make_cap_ring(build_dini_cap(0.25, eps), side, resolution=65)
 
 
 def test_dini_power_half_integral():
@@ -180,7 +180,7 @@ def test_polyline_distance_falls_back_past_a_long_edge():
 
 def test_make_rings_valid():
     cap = build_dini_cap(0.25, PowerModulus(0.5))
-    rings = make_rings(cap, 0.25, resolution=257)
+    rings = make_rings(cap, resolution=257)
     for ring in (rings.inner_ring, rings.outer_ring):
         assert ring.gap >= 2 * ring.grid.h
         assert ring.interior().any()
@@ -190,7 +190,7 @@ def test_make_rings_valid():
 def test_make_rings_degenerate_grid():
     cap = build_dini_cap(0.25, PowerModulus(0.5))
     with pytest.raises(GapTooSmall):
-        make_rings(cap, 0.25, resolution=9)
+        make_rings(cap, resolution=9)
 
 
 def test_reflected_cap_touches_origin():
@@ -260,6 +260,11 @@ def test_rasterize_polygon():
     mask, sd = rasterize(square, grid)
     assert mask.sum() * grid.h ** 2 == pytest.approx(4.0, rel=0.02)
     assert convexity_midpoint_check(mask, grid, rng=np.random.default_rng(11))
+
+
+def test_polygon_descriptor_lists_plain_float_vertices():
+    tri = Polygon([(0.0, 0.0), (1.0, 0.0), (0.25, 0.5)])
+    assert tri.descriptor() == "domain polygon n 3 vertices 0.0 0.0 1.0 0.0 0.25 0.5"
 
 
 def test_polygon_rejects_nonconvex():

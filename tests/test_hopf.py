@@ -127,7 +127,8 @@ def test_scaling_custom_reverified(cap_harmonic257):
     # re-verified from scratch and judged on its own report
     import dataclasses
     w = cap_harmonic257
-    of = custom(h=lambda t: np.asarray(t) + np.asarray(t) ** 3, t_max=1e3)
+    ts = np.geomspace(1e-6, 1e3, 4000)
+    of = custom(table=(ts, ts + ts ** 3))
     diag = level_diagnostics(w)
     z = zeta_from_field(w, diag=diag)
     C = float(np.max(diag.grad_norm[diag.trusted]))
@@ -177,12 +178,9 @@ def test_lipschitz_cap_outer_ring(cap_rings257):
     C_w = float(np.max(diag.grad_norm[diag.trusted]))
     # the super barrier's top value must dominate the outer data of u
     prof = tune_m(of, z, 1.0, C_w, 1.0 + 1e-5)
-    rep = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier_profile=prof)
-    assert rep.passed
+    rep = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier=(w, prof))
+    assert rep.passed and rep.comparison.passed
     assert np.isfinite(rep.C) and rep.C > 0
-    given = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier_profile=prof,
-                                  harmonic=w)
-    assert given.to_text() == rep.to_text()
 
 
 @pytest.fixture(scope="module")
@@ -203,8 +201,15 @@ def test_lipschitz_barrier_without_boundary_data(outer_quadratic):
     ring, of, u, w, prof = outer_quadratic
     bare = u.copy_with(u.values, meta={})
     with pytest.raises(PreconditionFail):
-        outer_lipschitz_check(bare, ring, of, r_ref=0.25, barrier_profile=prof,
-                              harmonic=w)
+        outer_lipschitz_check(bare, ring, of, r_ref=0.25, barrier=(w, prof))
+
+
+def test_lipschitz_without_boundary_data_or_barrier(outer_quadratic):
+    # the precondition "u vanishes on K1" needs the boundary data to check
+    ring, of, u, w, prof = outer_quadratic
+    bare = u.copy_with(u.values, meta={})
+    with pytest.raises(PreconditionFail, match="no boundary data"):
+        outer_lipschitz_check(bare, ring, of, r_ref=0.25)
 
 
 def test_super_comparison_boundary_precondition(outer_quadratic):
@@ -217,8 +222,7 @@ def test_super_comparison_boundary_precondition(outer_quadratic):
 
 def test_residual_label_follows_direction(annulus129, outer_quadratic):
     ring, of, u, w, prof = outer_quadratic
-    sup = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier_profile=prof,
-                                harmonic=w).to_text()
+    sup = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier=(w, prof)).to_text()
     u3 = solve_h_potential(annulus129, power(3.0))
     sub = comparison_check(u3, u3, power(3.0)).to_text()
     assert "\nsupersolution_residual_ok " in sup and "subsolution" not in sup
@@ -227,15 +231,13 @@ def test_residual_label_follows_direction(annulus129, outer_quadratic):
 
 def test_lipschitz_bump_above_super_barrier_fails(outer_quadratic):
     ring, of, u, w, prof = outer_quadratic
-    clean = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier_profile=prof,
-                                  harmonic=w)
+    clean = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier=(w, prof))
     assert clean.comparison.passed
     pts = ring.grid.points()
     bump = 0.5 * np.exp(-(pts[..., 0] ** 2 + (pts[..., 1] - 0.3) ** 2) / 0.005)
     bump[~u.interior_mask()] = 0.0
     bumped = u.copy_with(u.values + bump)
-    rep = outer_lipschitz_check(bumped, ring, of, r_ref=0.25, barrier_profile=prof,
-                                harmonic=w)
+    rep = outer_lipschitz_check(bumped, ring, of, r_ref=0.25, barrier=(w, prof))
     assert rep.comparison.passed is False
     assert rep.comparison.max_violation > rep.comparison.tol_cmp
     assert not rep.passed
@@ -260,7 +262,8 @@ def test_holder_quadratic_cauchy_schwarz():
 
 def test_holder_requires_normalization():
     u, v = _field_pair(1)
-    of = custom(h=lambda t: 2.0 * np.asarray(t), t_max=100.0)
+    ts = np.linspace(0.0, 100.0, 3)
+    of = custom(table=(ts, 2.0 * ts))
     with pytest.raises(NotNormalized):
         orlicz_holder_check(u, v, of)
 

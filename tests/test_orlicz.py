@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopflab import (Grid, Mask, ScalarField, WeightSample, check_condition_R,
-                     check_conditions, conjugate, custom, orlicz_norm, power,
-                     young_gap)
-from hopflab.orlicz import evaluate
+from hopflab import (WeightSample, check_condition_R, check_conditions, conjugate,
+                     custom, orlicz_norm, power, young_gap)
+from hopflab.orlicz import OrliczFunction, evaluate
 from hopflab.errors import (InversionFailure, NonMonotone, NonzeroOrigin,
                             OutOfRange)
 
@@ -29,14 +28,17 @@ def test_custom_rejects_decreasing_table():
 
 
 def test_nonmonotone_message_prints_a_plain_float():
+    # a table refuses a decreasing law before any sample is taken, so the
+    # sampled check is reached through the constructor
     with pytest.raises(NonMonotone, match=r"near t = \d") as exc:
-        custom(h=lambda t: np.sin(t), t_max=10.0)
+        OrliczFunction("custom", np.sin, 10.0, h_prime_fn=np.cos)
     assert "np.float64" not in str(exc.value)
 
 
 def test_custom_rejects_nonzero_origin():
+    ts = np.linspace(0.0, 10.0, 11)
     with pytest.raises(NonzeroOrigin):
-        custom(h=lambda t: t + 0.5, t_max=10.0)
+        custom(table=(ts, ts + 0.5))
 
 
 def test_minimal_surface_constructs():
@@ -194,7 +196,8 @@ def test_condition_R_identity_weight():
 
 def test_condition_R_near_constant_R():
     # h = exp(t) - 1 restricted to a range where R is nearly constant
-    of = custom(h=lambda t: np.expm1(t), t_max=30.0)
+    ts = np.linspace(0.0, 30.0, 3001)
+    of = custom(table=(ts, np.expm1(ts)))
     samples = [WeightSample.constant(0.9), WeightSample.constant(1.1),
                WeightSample.ramp(0.9, 1.1, (6.0, 12.0))]
     rep = check_condition_R(of, samples, (6.0, 12.0))
@@ -204,21 +207,17 @@ def test_condition_R_near_constant_R():
 
 # --- norms ------------------------------------------------------------------
 
-def unit_square_field(values):
-    n = values.shape[0]
-    grid = Grid(0.0, 0.0, n, n, 1.0 / n)
-    mask = np.full_like(values, int(Mask.INTERIOR), dtype=np.uint8)
-    return ScalarField(grid, np.asarray(values, dtype=float), mask)
+def unit_square_norm(values, of):
+    """The norm of values sampled on the n x n cells of the unit square."""
+    return orlicz_norm(values, of, cell_area=1.0 / values.shape[0] ** 2)
 
 
 def test_norm_zero_field():
-    fld = unit_square_field(np.zeros((32, 32)))
-    assert orlicz_norm(fld, power(2.0)) == 0.0
+    assert unit_square_norm(np.zeros((32, 32)), power(2.0)) == 0.0
 
 
 def test_norm_constant_unit_area():
-    fld = unit_square_field(np.ones((64, 64)))
-    assert orlicz_norm(fld, power(2.0)) == pytest.approx(1.0, rel=1e-7)
+    assert unit_square_norm(np.ones((64, 64)), power(2.0)) == pytest.approx(1.0, rel=1e-7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -226,11 +225,9 @@ def test_norm_constant_unit_area():
 def test_norm_homogeneity(lam, seed):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((24, 24))
-    fld = unit_square_field(vals)
-    scaled = unit_square_field(lam * vals)
     of = power(3.0)
-    assert orlicz_norm(scaled, of) == pytest.approx(lam * orlicz_norm(fld, of),
-                                                    rel=1e-6)
+    assert unit_square_norm(lam * vals, of) == pytest.approx(lam * unit_square_norm(vals, of),
+                                                             rel=1e-6)
 
 
 # --- conjugation ------------------------------------------------------------
@@ -246,6 +243,22 @@ def test_power_R_identity_and_monotone():
 def test_conjugate_power_exponent():
     oc = conjugate(power(3.0))
     assert oc.p == pytest.approx(1.5)
+
+
+def test_conjugate_of_a_table_is_the_table_of_g():
+    ts = np.linspace(0.0, 10.0, 4001)
+    of = custom(table=(ts, ts ** 2 + ts))
+    oc = conjugate(of)
+    ys = np.concatenate([np.linspace(0.0, of.h_top, 257),
+                         np.random.default_rng(3).uniform(0.0, of.h_top, 64)])
+    assert np.array_equal(oc.F(ys), of.Fstar(ys))
+    assert oc.t_max == of.h_top
+    assert f"table {len(of._g_table[0])}\n" in oc.descriptor()
+
+
+def test_repr_names_the_kind():
+    assert repr(power(3.0)) == "OrliczFunction(power, p=3.0)"
+    assert repr(minimal_surface()) == "OrliczFunction(custom, t_max=100.0)"
 
 
 def test_double_legendre_custom_roundtrip():

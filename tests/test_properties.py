@@ -33,7 +33,7 @@ def ring_builders(draw):
     else:
         eps = LogPowerModulus(draw(st.floats(1.5, 3.0)))
     side = draw(st.sampled_from(["inner", "outer"]))
-    return lambda: make_cap_ring(build_dini_cap(r_d, eps), r_d, side, resolution=n)
+    return lambda: make_cap_ring(build_dini_cap(r_d, eps), side, resolution=n)
 
 
 @settings(max_examples=16, deadline=None)

@@ -177,7 +177,7 @@ def test_superlevel_sets_convex(annulus129, harmonic129):
 # --- gradient bounds ---------------------------------------------------------
 
 def test_gradient_bounds_annulus(annulus129, harmonic129):
-    gb = gradient_bounds(harmonic129, annulus129)
+    gb = gradient_bounds(harmonic129)
     assert gb.c == pytest.approx(1 / (2 * np.log(2)), rel=0.05)
     assert gb.C == pytest.approx(1 / np.log(2), rel=0.05)
 
@@ -254,7 +254,7 @@ def test_gradient_bounds_match_per_node_reference(name, request):
     # the cap rings put central stencils against ghost nodes on curved
     # boundaries, where the stencil choice matters
     w = request.getfixturevalue(name)
-    got = gradient_bounds(w, w.ring)
+    got = gradient_bounds(w)
     ref = _reference_gradient_bounds(w, w.ring)
     assert ref.n_near > 0
     for key in ("c", "C", "n_core", "n_near"):
@@ -672,7 +672,7 @@ def test_coarse_nonconvergence_is_recorded(tmp_path):
 def test_gradient_bounds_degenerate(annulus129):
     u = solve_h_potential(annulus129, power(2.0), inner_value=1.0, outer_value=1.0)
     with pytest.raises(DegenerateGradient):
-        gradient_bounds(u, annulus129)
+        gradient_bounds(u)
 
 
 @pytest.fixture(scope="module")
