@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (InversionOverflow, NotIntegrable, OutOfRange,
+from .errors import (InversionOverflow, NotIntegrable, OutOfRange, PreconditionFail,
                      TargetUnreachable, VanishingGradient)
 from .geometry import DiniModulus, dini_report
 from .orlicz import OrliczFunction
@@ -142,8 +142,6 @@ def zeta_from_field(w: ScalarField, diag: LevelDiagnostics | None = None) -> Zet
     cells are filled by a monotone envelope extension from the last resolved
     bins toward the endpoints.
     """
-    if w.ring is None:
-        raise OutOfRange("field carries no ring")
     diag = diag or level_diagnostics(w)
     cells = diag.trusted
     if not cells.any():
@@ -363,13 +361,13 @@ class SubsolutionReport:
 
 def compose_barrier(w: ScalarField, prof: BarrierProfile) -> ScalarField:
     """The candidate sub-solution f(w) as a field (C^1 extension off [0, 1])."""
-    values = prof.eval_f(w.values)
-    out = w.copy_with(values, meta={
-        "inner_value": float(prof.eval_f(w.meta.get("inner_value", 1.0))),
-        "outer_value": float(prof.eval_f(w.meta.get("outer_value", 0.0))),
+    if any(w.meta.get(k) is None for k in ("inner_value", "outer_value")):
+        raise PreconditionFail("w carries no boundary data")
+    return w.copy_with(prof.eval_f(w.values), meta={
+        "inner_value": float(prof.eval_f(w.meta["inner_value"])),
+        "outer_value": float(prof.eval_f(w.meta["outer_value"])),
         "delta_final": w.meta.get("delta_final", 1e-6),
     })
-    return out
 
 
 def verify_subsolution(w: ScalarField, prof: BarrierProfile, of: OrliczFunction,

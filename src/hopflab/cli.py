@@ -272,8 +272,7 @@ def _hopf_defaults(cfg: RunConfig):
 def cmd_check(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     of = _build_function(cfg)
-    p_guess = cfg.p if cfg.function_kind == "power" else 2.0
-    reports = orlicz.check_conditions(of, p_guess)
+    reports = orlicz.check_conditions(of, cfg.p)
     coer = next(r for r in reports if r.condition_id == "Coercivity")
     c_lo = max(coer.constants.get("c", 0.5), 1e-6)
     c_hi = max(coer.constants.get("C", 2.0), 2 * c_lo)
@@ -364,7 +363,7 @@ def _read_solved(out: Path, name: str, ring: geometry.ConvexRing) -> solver.Scal
     missing = [key for key in _SOLVED_KEYS if key not in meta]
     if missing:
         raise MissingArtifact(f"{rep} has no {' / '.join(missing)} line; run solve again")
-    return solver.ScalarField(ring.grid, values, mask, ring, meta)
+    return solver.ScalarField(ring, values, meta)
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
@@ -402,7 +401,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     if outer_mode:
-        cmp_rep = hopf.outer_lipschitz_check(u, ring, of, cfg.r_d, y=(0.0, 0.0),
+        cmp_rep = hopf.outer_lipschitz_check(u, of, cfg.r_d, y=(0.0, 0.0),
                                              barrier=(w, prof))
         (out / "lipschitz.txt").write_text(cmp_rep.to_text())
     else:

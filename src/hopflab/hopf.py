@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotNormalized, OutOfRange, PreconditionFail
-from .geometry import ConvexRing, make_annulus
+from .geometry import make_annulus
 from .orlicz import OrliczFunction, conjugate, orlicz_norm
 from .solver import (RESIDUAL_MARGIN, ScalarField, central_gradient, flux_scale,
                      operator_residual, solve_harmonic)
@@ -52,14 +52,12 @@ def hopf_constant(u: ScalarField, x0, radii) -> HopfReport:
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.nan
-    if u.ring is not None:
-        # a point on a ring boundary takes the Dirichlet data exactly
-        for dom, key in ((u.ring.inner, "inner_value"),
-                         (u.ring.outer, "outer_value")):
-            lev = abs(float(dom.level(x0, smoothing=u.grid.h)))
-            if lev <= u.grid.h and key in u.meta:
-                u0 = float(u.meta[key])
-                break
+    # a point on a ring boundary takes the Dirichlet data exactly
+    for dom, key in ((u.ring.inner, "inner_value"), (u.ring.outer, "outer_value")):
+        lev = abs(float(dom.level(x0, smoothing=u.grid.h)))
+        if lev <= u.grid.h and key in u.meta:
+            u0 = float(u.meta[key])
+            break
     if not np.isfinite(u0):
         u0 = float(u.interp(x0))
     if not np.isfinite(u0):
@@ -182,7 +180,7 @@ def comparison_check(u: ScalarField, v: ScalarField, of: OrliczFunction,
             f"{lo.meta['inner_value']!r} vs {hi.meta['inner_value']!r}, "
             f"outer {lo.meta['outer_value']!r} vs {hi.meta['outer_value']!r}")
 
-    ring = u.ring or v.ring
+    ring = u.ring
     trusted = ring.trusted()
     gn = np.hypot(*central_gradient(u.values, u.grid.h))[trusted]
     tol_res = RESIDUAL_MARGIN * flux_scale(gn, of, ring.gap)
@@ -229,8 +227,8 @@ class LipschitzReport:
         return out.getvalue()
 
 
-def outer_lipschitz_check(u: ScalarField, ring: ConvexRing, of: OrliczFunction,
-                          r_ref: float, y=(0.0, 0.0), barrier=None) -> LipschitzReport:
+def outer_lipschitz_check(u: ScalarField, of: OrliczFunction, r_ref: float,
+                          y=(0.0, 0.0), barrier=None) -> LipschitzReport:
     """Bound u <= C * M * dist(x, K1) on the ball of radius r_ref around the
     boundary point y.
 
@@ -249,6 +247,7 @@ def outer_lipschitz_check(u: ScalarField, ring: ConvexRing, of: OrliczFunction,
         raise PreconditionFail("u must be nonnegative")
     y = np.asarray(y, dtype=float)
 
+    ring = u.ring
     pts = ring.grid.points()
     dist_y = np.hypot(pts[..., 0] - y[0], pts[..., 1] - y[1])
     near = u.interior_mask() & (dist_y <= r_ref)
@@ -289,18 +288,15 @@ class HoelderReport:
     passed: bool
 
 
-def orlicz_holder_check(u: ScalarField, v: ScalarField,
-                        of: OrliczFunction) -> HoelderReport:
-    """integral |u v| <= ||u||_F ||v||_F*  (requires the normalization h(1)=1)."""
+def orlicz_holder_check(u, v, of: OrliczFunction, cell_area: float) -> HoelderReport:
+    """integral |u v| <= ||u||_F ||v||_F*  (requires the normalization h(1)=1)
+    for arrays u and v sampling the same cells of area cell_area."""
     h1 = float(of.h(np.array([1.0]))[0])
     if abs(h1 - 1.0) > 1e-8:
         raise NotNormalized(f"h(1) = {h1!r}; normalize the flow law first")
-    joint = u.interior_mask() & v.interior_mask()
-    if not joint.any():
-        raise OutOfRange("no joint mask")
-    dA = u.grid.h ** 2
-    lhs = float(np.sum(np.abs(u.values[joint] * v.values[joint]))) * dA
-    nu = orlicz_norm(np.abs(u.values[joint]), of, cell_area=dA)
-    nv = orlicz_norm(np.abs(v.values[joint]), conjugate(of), cell_area=dA)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    lhs = float(np.sum(np.abs(u * v))) * cell_area
+    nu = orlicz_norm(u, of, cell_area=cell_area)
+    nv = orlicz_norm(v, conjugate(of), cell_area=cell_area)
     rhs = nu * nv
     return HoelderReport(lhs, nu, nv, lhs <= rhs * (1 + 1e-6) + 1e-300)

@@ -31,8 +31,7 @@ import numpy as np
 # scipy.sparse is imported inside the functions that use it, so commands that
 # solve nothing, such as `hopflab check`, do not pay for loading it.
 
-from .errors import (DegenerateGradient, GapTooSmall, GridTooSmall, OutOfRange,
-                     StagnationPoint)
+from .errors import DegenerateGradient, GapTooSmall, GridTooSmall, StagnationPoint
 from .geometry import ConvexRing, Grid, Mask, _shift, make_ring
 from .orlicz import COERCIVITY_RATIO_MAX, OrliczFunction, power
 
@@ -53,12 +52,19 @@ RESIDUAL_MARGIN = 1e-3    # certificate residual tolerances, relative to flux_sc
 
 @dataclass
 class ScalarField:
-    """Grid-sampled function; boundary (ghost) nodes hold Dirichlet closures."""
-    grid: Grid
+    """Values on the nodes of one ring; boundary (ghost) nodes hold Dirichlet
+    closures. The grid and the node mask are the ring's."""
+    ring: ConvexRing
     values: np.ndarray
-    mask: np.ndarray
-    ring: ConvexRing | None = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def grid(self) -> Grid:
+        return self.ring.grid
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.ring.mask
 
     def interior_mask(self):
         return self.mask == Mask.INTERIOR
@@ -70,8 +76,7 @@ class ScalarField:
         return self.values[self.interior_mask()]
 
     def copy_with(self, values, meta=None):
-        return ScalarField(self.grid, np.asarray(values, dtype=float),
-                           self.mask.copy(), self.ring,
+        return ScalarField(self.ring, np.asarray(values, dtype=float),
                            dict(self.meta if meta is None else meta))
 
     def interp(self, pts):
@@ -414,15 +419,10 @@ def solve_harmonic(ring: ConvexRing, opts: SolveOptions | None = None,
     """Discrete Laplace solve (5-point rows with the ghost closure); one
     factorisation per ring serves every boundary data."""
     opts = opts or SolveOptions()
-    asm = _assembly(ring)
-    of = _QUADRATIC
-    fld = _solved_field(ring, _harmonic_unknowns(ring, inner_value, outer_value), of, 0.0,
-                        inner_value, outer_value)
-    v, res = fld.values.ravel(), fld.meta["residual"]
-    scale = max(1.0, asm.flux_scale(v, of, 0.0))
-    energy = asm.energy(v, of, 0.0)
-    fld.meta.update(converged=res < max(opts.tol, 1e-7) * scale, energy=energy,
-                    log=[(0, 0.0, energy, res)])
+    fld = _solved_field(ring, _harmonic_unknowns(ring, inner_value, outer_value),
+                        _QUADRATIC, 0.0, inner_value, outer_value)
+    scale = max(1.0, _assembly(ring).flux_scale(fld.values.ravel(), _QUADRATIC, 0.0))
+    fld.meta["converged"] = fld.meta["residual"] < max(opts.tol, 1e-7) * scale
     return fld
 
 
@@ -456,8 +456,7 @@ def _solved_field(ring, u, of, delta, inner_value, outer_value) -> ScalarField:
     res = float(np.max(np.abs(asm.residual_rows(v, of, delta)))) / asm.h ** 2
     meta = {"residual": res, "delta_final": delta,
             "inner_value": inner_value, "outer_value": outer_value}
-    return ScalarField(ring.grid, v.reshape(ring.grid.ny, ring.grid.nx),
-                       ring.mask.copy(), ring, meta)
+    return ScalarField(ring, v.reshape(ring.grid.ny, ring.grid.nx), meta)
 
 
 def _continuation(ring, of, opts, inner_value, outer_value):
@@ -518,7 +517,7 @@ def _coarse_start(ring, of, opts, inner_value, outer_value):
         return None
     casm = _assembly(coarse)
     v = casm.full_values(u, casm.closure_offset(inner_value, outer_value))
-    fld = ScalarField(coarse.grid, v.reshape(coarse.grid.ny, coarse.grid.nx), coarse.mask)
+    fld = ScalarField(coarse, v.reshape(coarse.grid.ny, coarse.grid.nx))
     return fld.interp(g.points().reshape(-1, 2)[_assembly(ring).interior_ids]), levels
 
 
@@ -655,10 +654,7 @@ def operator_residual(fld: ScalarField, of: OrliczFunction,
     solved field has residual below the solver tolerance (relative to the
     ring's flux scale) at every interior node.
     """
-    ring = fld.ring
-    if ring is None:
-        raise OutOfRange("field carries no ring")
-    asm = _assembly(ring)
+    asm = _assembly(fld.ring)
     grad = asm.gradient_full(fld.values.ravel(), of, delta)
     res = np.zeros_like(grad)
     interior = fld.mask.ravel() == Mask.INTERIOR
@@ -672,14 +668,11 @@ def _assembly(ring: ConvexRing) -> _Assembly:
 
 @dataclass
 class LevelDiagnostics:
-    grad_x: np.ndarray
-    grad_y: np.ndarray
     grad_norm: np.ndarray
     inf_lap: np.ndarray
     curvature: np.ndarray
     laplacian: np.ndarray
     cells: np.ndarray          # nodes where every diagnostic is trustworthy
-    vanishing: np.ndarray      # nodes excluded for |grad| below _gradient_floor
     trusted: np.ndarray        # cells on ring.trusted(): where certificates run
 
 
@@ -742,16 +735,14 @@ def level_diagnostics(fld: ScalarField) -> LevelDiagnostics:
     wxy = (vNE + vSW - vNW - vSE) / (4 * h ** 2)
     gn = np.hypot(wx, wy)
 
-    vanishing = ok & (gn < _gradient_floor(fld))
-    cells = ok & ~vanishing
-    # without a ring there is no depth, so nothing is trusted
-    trusted = np.zeros_like(cells) if fld.ring is None else cells & fld.ring.trusted()
+    cells = ok & ~(gn < _gradient_floor(fld))
+    trusted = cells & fld.ring.trusted()
 
     inf_lap = wx ** 2 * wxx + 2 * wx * wy * wxy + wy ** 2 * wyy
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = -(wxx * wy ** 2 - 2 * wx * wy * wxy + wyy * wx ** 2) / gn ** 3
     lap = wxx + wyy
-    return LevelDiagnostics(wx, wy, gn, inf_lap, kappa, lap, cells, vanishing, trusted)
+    return LevelDiagnostics(gn, inf_lap, kappa, lap, cells, trusted)
 
 
 @dataclass(frozen=True)
@@ -767,8 +758,6 @@ def gradient_bounds(fld: ScalarField) -> GradientBounds:
     of the field's ring: central differences on trusted nodes, and every
     other interior node whose two components are estimable."""
     ring = fld.ring
-    if ring is None:
-        raise OutOfRange("field carries no ring")
     interior = ring.interior()
     core = ring.trusted()
     gx, gy = node_gradients(fld.values, interior, fld.grid.h)

@@ -7,10 +7,10 @@ from scipy.integrate import quad
 
 from hopflab import (LogPowerModulus, PowerModulus, TableModulus, build_barrier,
                      compose_barrier, custom, level_diagnostics, operator_residual,
-                     power, tune_m, verify_subsolution, zeta_from_field,
+                     power, solve_harmonic, tune_m, verify_subsolution, zeta_from_field,
                      zeta_from_modulus)
-from hopflab.errors import (InversionOverflow, NotIntegrable, TargetUnreachable,
-                            VanishingGradient)
+from hopflab.errors import (InversionOverflow, NotIntegrable, PreconditionFail,
+                            TargetUnreachable, VanishingGradient)
 
 
 def identity_law(t_max):
@@ -230,10 +230,17 @@ def test_chain_rule_identity(annulus129, harmonic129):
     assert float(np.max(np.abs(got - expect))) < 0.05 * max(scale, 1.0) + 0.05 * scale
 
 
+def test_compose_barrier_without_boundary_data(annulus129, harmonic129):
+    # a field whose data were dropped must not take the data (1, 0) instead
+    flipped = solve_harmonic(annulus129, inner_value=0.0, outer_value=1.0)
+    prof = tune_m(power(2.0), zeta_from_field(harmonic129), 1.0, 1.6, 1.0)
+    with pytest.raises(PreconditionFail, match="w carries no boundary data"):
+        compose_barrier(flipped.copy_with(flipped.values, meta={}), prof)
+
+
 def test_full_expansion_matches_residual(annulus129):
     # H(f'|grad w|) f''|grad w|^2 + H'(f'|grad w|)/(f'|grad w|) *
     #   [f'^3 inf_lap + f'^2 f'' |grad w|^4]  reproduces the discrete operator
-    from hopflab import solve_harmonic
     w = solve_harmonic(annulus129)
     z = zeta_from_field(w)
     of = power(3.0)

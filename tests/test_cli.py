@@ -77,6 +77,23 @@ table = {table}
     assert "condition Coercivity\npass False" in text
 
 
+def test_check_custom_law_reads_p(tmp_path):
+    # the table of h = t^2 is the p = 3 law, so it is coercive against p = 3
+    ts = np.linspace(0.0, 50.0, 2001)
+    table = tmp_path / "law.csv"
+    table.write_text("t,h\n" + "".join(f"{t!r},{t * t!r}\n" for t in ts.tolist()))
+    cfg = write_config(tmp_path / "run.ini", f"""
+[function]
+kind = custom
+table = {table}
+p = 3.0
+""")
+    main(["check", "--config", cfg, "--out", str(tmp_path / "out")])
+    text = (tmp_path / "out" / "conditions.txt").read_text()
+    coercivity = text.split("condition Coercivity\n")[1].split("condition ")[0]
+    assert coercivity.startswith("pass True\n") and "constant p 3.0\n" in coercivity
+
+
 def test_check_missing_table_exit_1(tmp_path):
     cfg = write_config(tmp_path / "run.ini", """
 [function]

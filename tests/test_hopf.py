@@ -30,7 +30,7 @@ def test_hopf_skips_unresolved_radii(harmonic129):
 
 def test_hopf_constant_field_fails(annulus129):
     vals = np.full((annulus129.grid.ny, annulus129.grid.nx), 0.3)
-    fld = ScalarField(annulus129.grid, vals, annulus129.mask.copy(), annulus129)
+    fld = ScalarField(annulus129, vals)
     rep = hopf_constant(fld, (2.0, 0.0), [0.4, 0.2])
     assert not rep.passed
     assert all(abs(q) < 1e-12 for q in rep.ratios)
@@ -147,7 +147,7 @@ def test_scaling_custom_reverified(cap_harmonic257):
 def test_lipschitz_zero_field(cap_rings257):
     ring = cap_rings257.outer_ring
     u = solve_h_potential(ring, power(2.0), inner_value=0.0, outer_value=0.0)
-    rep = outer_lipschitz_check(u, ring, power(2.0), r_ref=0.25)
+    rep = outer_lipschitz_check(u, power(2.0), r_ref=0.25)
     assert rep.passed and rep.C == 0.0
 
 
@@ -159,7 +159,7 @@ def test_lipschitz_flat_face():
     u = solve_harmonic(ring, inner_value=0.0, outer_value=1.0)
     u.meta["inner_value"], u.meta["outer_value"] = 0.0, 1.0
     y = (0.0, -0.5)
-    rep = outer_lipschitz_check(u, ring, power(2.0), y=y, r_ref=0.3)
+    rep = outer_lipschitz_check(u, power(2.0), y=y, r_ref=0.3)
     # normal derivative at the face midpoint by one-sided differences
     h = grid.h
     probes = u.interp(np.array([[0.0, -0.5 - h], [0.0, -0.5 - 2 * h]]))
@@ -178,7 +178,7 @@ def test_lipschitz_cap_outer_ring(cap_rings257):
     C_w = float(np.max(diag.grad_norm[diag.trusted]))
     # the super barrier's top value must dominate the outer data of u
     prof = tune_m(of, z, 1.0, C_w, 1.0 + 1e-5)
-    rep = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier=(w, prof))
+    rep = outer_lipschitz_check(u, of, r_ref=0.25, barrier=(w, prof))
     assert rep.passed and rep.comparison.passed
     assert np.isfinite(rep.C) and rep.C > 0
 
@@ -201,7 +201,7 @@ def test_lipschitz_barrier_without_boundary_data(outer_quadratic):
     ring, of, u, w, prof = outer_quadratic
     bare = u.copy_with(u.values, meta={})
     with pytest.raises(PreconditionFail):
-        outer_lipschitz_check(bare, ring, of, r_ref=0.25, barrier=(w, prof))
+        outer_lipschitz_check(bare, of, r_ref=0.25, barrier=(w, prof))
 
 
 def test_lipschitz_without_boundary_data_or_barrier(outer_quadratic):
@@ -209,7 +209,7 @@ def test_lipschitz_without_boundary_data_or_barrier(outer_quadratic):
     ring, of, u, w, prof = outer_quadratic
     bare = u.copy_with(u.values, meta={})
     with pytest.raises(PreconditionFail, match="no boundary data"):
-        outer_lipschitz_check(bare, ring, of, r_ref=0.25)
+        outer_lipschitz_check(bare, of, r_ref=0.25)
 
 
 def test_super_comparison_boundary_precondition(outer_quadratic):
@@ -222,7 +222,7 @@ def test_super_comparison_boundary_precondition(outer_quadratic):
 
 def test_residual_label_follows_direction(annulus129, outer_quadratic):
     ring, of, u, w, prof = outer_quadratic
-    sup = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier=(w, prof)).to_text()
+    sup = outer_lipschitz_check(u, of, r_ref=0.25, barrier=(w, prof)).to_text()
     u3 = solve_h_potential(annulus129, power(3.0))
     sub = comparison_check(u3, u3, power(3.0)).to_text()
     assert "\nsupersolution_residual_ok " in sup and "subsolution" not in sup
@@ -231,13 +231,13 @@ def test_residual_label_follows_direction(annulus129, outer_quadratic):
 
 def test_lipschitz_bump_above_super_barrier_fails(outer_quadratic):
     ring, of, u, w, prof = outer_quadratic
-    clean = outer_lipschitz_check(u, ring, of, r_ref=0.25, barrier=(w, prof))
+    clean = outer_lipschitz_check(u, of, r_ref=0.25, barrier=(w, prof))
     assert clean.comparison.passed
     pts = ring.grid.points()
     bump = 0.5 * np.exp(-(pts[..., 0] ** 2 + (pts[..., 1] - 0.3) ** 2) / 0.005)
     bump[~u.interior_mask()] = 0.0
     bumped = u.copy_with(u.values + bump)
-    rep = outer_lipschitz_check(bumped, ring, of, r_ref=0.25, barrier=(w, prof))
+    rep = outer_lipschitz_check(bumped, of, r_ref=0.25, barrier=(w, prof))
     assert rep.comparison.passed is False
     assert rep.comparison.max_violation > rep.comparison.tol_cmp
     assert not rep.passed
@@ -245,40 +245,33 @@ def test_lipschitz_bump_above_super_barrier_fails(outer_quadratic):
 
 # --- Hoelder ------------------------------------------------------------------
 
-def _field_pair(seed, n=48):
+def _sample_pair(seed, n=48):
+    """Two random samples of the n x n cells of the unit square."""
     rng = np.random.default_rng(seed)
-    grid = Grid(0.0, 0.0, n, n, 1.0 / n)
-    mask = np.full((n, n), int(Mask.INTERIOR), dtype=np.uint8)
-    u = ScalarField(grid, rng.standard_normal((n, n)), mask)
-    v = ScalarField(grid, rng.standard_normal((n, n)), mask.copy())
-    return u, v
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
 
 
 def test_holder_quadratic_cauchy_schwarz():
-    u, v = _field_pair(0)
-    rep = orlicz_holder_check(u, u, power(2.0))
+    u, v = _sample_pair(0)
+    rep = orlicz_holder_check(u, u, power(2.0), cell_area=1.0 / 48 ** 2)
     assert rep.passed
 
 
 def test_holder_requires_normalization():
-    u, v = _field_pair(1)
+    u, v = _sample_pair(1)
     ts = np.linspace(0.0, 100.0, 3)
     of = custom(table=(ts, 2.0 * ts))
     with pytest.raises(NotNormalized):
-        orlicz_holder_check(u, v, of)
+        orlicz_holder_check(u, v, of, cell_area=1.0 / 48 ** 2)
 
 
 def test_holder_plateau_near_tight():
     n = 64
-    grid = Grid(0.0, 0.0, n, n, 1.0 / n)
-    mask = np.full((n, n), int(Mask.INTERIOR), dtype=np.uint8)
     a = 2.0
     plateau = np.zeros((n, n))
     plateau[:, : n // 2] = a
-    u = ScalarField(grid, plateau, mask)
     of = power(3.0)
-    v = ScalarField(grid, np.where(plateau > 0, float(of.h(np.array([a]))[0]), 0.0),
-                    mask.copy())
-    rep = orlicz_holder_check(u, v, of)
+    v = np.where(plateau > 0, float(of.h(np.array([a]))[0]), 0.0)
+    rep = orlicz_holder_check(plateau, v, of, cell_area=1.0 / n ** 2)
     assert rep.passed
     assert rep.lhs >= 0.95 * rep.norm_u * rep.norm_v

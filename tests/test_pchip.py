@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
@@ -42,10 +42,15 @@ def same_bits(a, b):
 @settings(max_examples=150, deadline=None)
 @given(table=tables(), extrapolate=st.booleans(),
        extra=st.lists(st.floats(-40.0, 600.0), max_size=8))
+# a subnormal last value: SciPy's constructor overflows in a slope divide
+@example(table=(np.arange(19.0), np.array([0.0] * 18 + [2.22507386e-311])),
+         extrapolate=False, extra=[])
 def test_matches_scipy_bit_for_bit(table, extrapolate, extra):
     x, y = table
     q = queries(x, np.array(extra, dtype=float))
-    ref = PchipInterpolator(x, y, extrapolate=extrapolate)
+    # only the reference is built under errstate, so Pchip's own warnings fail
+    with np.errstate(over="ignore", divide="ignore"):
+        ref = PchipInterpolator(x, y, extrapolate=extrapolate)
     got = Pchip(x, y, extrapolate=extrapolate)
     assert same_bits(got(q), ref(q))
     assert same_bits(got.derivative()(q), ref.derivative()(q))

@@ -244,7 +244,7 @@ def test_bilinear_lookups_are_exact_on_affine_fields(build, k, seed):
     a, b, c = k
     affine = lambda x, y: a + b * x + c * y  # noqa: E731
     pts = g.points()
-    fld = ScalarField(g, affine(pts[..., 0], pts[..., 1]), ring.mask.copy(), ring)
+    fld = ScalarField(ring, affine(pts[..., 0], pts[..., 1]))
     scale = abs(a) + (abs(b) + abs(c)) * float(np.max(np.abs(pts))) + 1e-300
     rng = np.random.default_rng(seed)
     origin = np.array([g.x0, g.y0])

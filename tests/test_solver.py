@@ -12,7 +12,7 @@ from hopflab import (Mask, ScalarField, SolveOptions, custom, gradient_bounds,
                      solve_h_potential, solve_harmonic, solver, trace_flow_line)
 from hopflab.geometry import convexity_midpoint_check
 from hopflab.solver import GradientBounds, _dissection_order, node_gradients
-from hopflab.errors import DegenerateGradient, OutOfRange, StagnationPoint
+from hopflab.errors import DegenerateGradient, StagnationPoint
 
 
 def annulus_radius(ring):
@@ -108,7 +108,7 @@ def test_residual_affine_field(annulus129):
     ring = annulus129
     pts = ring.grid.points()
     vals = 0.3 * pts[..., 0] - 0.7 * pts[..., 1] + 0.1
-    fld = ScalarField(ring.grid, vals, ring.mask.copy(), ring)
+    fld = ScalarField(ring, vals)
     for of in (power(2.0), power(3.0)):
         res = operator_residual(fld, of)
         assert float(np.abs(res.values[res.interior_mask()]).max()) < 1e-10
@@ -118,7 +118,7 @@ def test_residual_is_five_point_laplacian_for_p2(annulus129):
     ring = annulus129
     rng = np.random.default_rng(4)
     vals = rng.standard_normal((ring.grid.ny, ring.grid.nx))
-    fld = ScalarField(ring.grid, vals, ring.mask.copy(), ring)
+    fld = ScalarField(ring, vals)
     res = operator_residual(fld, power(2.0))
     h = ring.grid.h
     lap = np.zeros_like(vals)
@@ -157,8 +157,7 @@ def test_inf_laplacian_identity(harmonic129):
 def test_linear_field_flat_diagnostics(annulus129):
     ring = annulus129
     pts = ring.grid.points()
-    fld = ScalarField(ring.grid, pts[..., 0].copy(), ring.mask.copy(), ring,
-                      {"delta_final": 1e-6})
+    fld = ScalarField(ring, pts[..., 0].copy(), {"delta_final": 1e-6})
     diag = level_diagnostics(fld)
     assert float(np.abs(diag.curvature[diag.cells]).max()) < 1e-8
     assert float(np.abs(diag.inf_lap[diag.cells]).max()) < 1e-8
@@ -675,22 +674,6 @@ def test_gradient_bounds_degenerate(annulus129):
         gradient_bounds(u)
 
 
-@pytest.fixture(scope="module")
-def ringless65():
-    return dataclasses.replace(solve_harmonic(make_annulus(1.0, 2.0, resolution=65)),
-                               ring=None)
-
-
-def test_gradient_bounds_of_a_ringless_field_is_out_of_range(ringless65):
-    with pytest.raises(OutOfRange, match="field carries no ring"):
-        gradient_bounds(ringless65)
-
-
-def test_operator_residual_of_a_ringless_field_is_out_of_range(ringless65):
-    with pytest.raises(OutOfRange, match="field carries no ring"):
-        operator_residual(ringless65, power(2.0))
-
-
 # --- flow lines --------------------------------------------------------------
 
 def test_flow_line_radial(annulus129, harmonic129):
@@ -713,8 +696,7 @@ def test_flow_line_constant_gradient_slab(annulus129):
     ring = annulus129
     pts = ring.grid.points()
     vals = np.clip((pts[..., 0] + 2.05) / 4.1, 0.0, 1.0)
-    fld = ScalarField(ring.grid, vals, ring.mask.copy(), ring,
-                      {"delta_final": 1e-6})
+    fld = ScalarField(ring, vals, {"delta_final": 1e-6})
     tr = trace_flow_line(fld, (1.5, 0.0))
     gn = np.array([t[1] for t in tr])
     assert np.ptp(gn) < 1e-8
