@@ -13,7 +13,7 @@ from .hopf import (comparison_check, discretization_benchmark, hopf_constant,
                    orlicz_holder_check, outer_lipschitz_check)
 from .orlicz import (ConditionReport, OrliczFunction, WeightSample,
                      check_condition_R, check_conditions, conjugate, custom,
-                     evaluate, orlicz_norm, power, young_gap)
+                     orlicz_norm, power, young_gap)
 from .solver import (ScalarField, SolveOptions, gradient_bounds,
                      level_diagnostics, operator_residual, solve_h_potential,
                      solve_harmonic, trace_flow_line)
@@ -28,8 +28,8 @@ __all__ = [
     "comparison_check", "discretization_benchmark", "hopf_constant",
     "orlicz_holder_check", "outer_lipschitz_check",
     "ConditionReport", "OrliczFunction", "WeightSample", "check_condition_R",
-    "check_conditions", "conjugate", "custom", "evaluate", "orlicz_norm",
-    "power", "young_gap",
+    "check_conditions", "conjugate", "custom", "orlicz_norm", "power",
+    "young_gap",
     "ScalarField", "SolveOptions", "gradient_bounds", "level_diagnostics",
     "operator_residual", "solve_h_potential", "solve_harmonic",
     "trace_flow_line",

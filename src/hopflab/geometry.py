@@ -510,7 +510,7 @@ class ConvexRing:
 
     def cached(self, key: str, build):
         """The value stored under key, computed as build(self) on first use;
-        per-ring derived data (distances, depth, solver assembly) lives here."""
+        per-ring derived data (distances, trusted nodes, assembly) lives here."""
         if key not in self._cache:
             self._cache[key] = build(self)
         return self._cache[key]
@@ -524,14 +524,10 @@ class ConvexRing:
         return self.cached(which, lambda r: dom.signed_distance(r.grid.points(),
                                                                 smoothing=r.grid.h))
 
-    def interior_depth(self):
-        """Chebyshev distance (in cells) from each interior node to the ghost layer."""
-        return self.cached("depth", _interior_depth)
-
     def trusted(self):
-        """Nodes at least two cells inside the ring: every stencil the
-        certificates use there sees interior nodes only."""
-        return self.cached("trusted", lambda r: r.interior_depth() >= 2)
+        """Interior nodes whose eight neighbours are all interior: every
+        stencil the certificates use there sees interior nodes only."""
+        return self.cached("trusted", lambda r: r.interior() & ~_dilate8(~r.interior()))
 
     def descriptor(self) -> str:
         out = io.StringIO()
@@ -541,18 +537,6 @@ class ConvexRing:
         out.write(self.grid.descriptor() + "\n")
         out.write(f"gap {self.gap!r}\n")
         return out.getvalue()
-
-
-def _interior_depth(ring: ConvexRing):
-    interior = ring.interior()
-    depth = np.zeros(ring.mask.shape, dtype=int)
-    cur = ~interior
-    for d in range(1, 6):
-        cur = _dilate8(cur)
-        depth[cur & interior & (depth == 0)] = d
-    depth[interior & (depth == 0)] = 6
-    depth[~interior] = 0
-    return depth
 
 
 def _shift(arr: np.ndarray, dj: int, di: int, fill):
@@ -631,36 +615,27 @@ def _build_ghost_layer(inner, outer, grid, mask, lev_in, lev_out) -> GhostLayer:
     ny, nx = mask.shape
     interior = mask == Mask.INTERIOR
     pts = grid.points().reshape(-1, 2)
+    steps = np.array(_STENCIL)
 
     all_idx, all_partner, all_theta, all_side = [], [], [], []
-    for side_code, dom, lev in ((int(Mask.INNER_BOUNDARY), inner, lev_in),
-                                (int(Mask.OUTER_BOUNDARY), outer, lev_out)):
+    for side_code, dom, lev, sign in ((int(Mask.INNER_BOUNDARY), inner, lev_in, 1.0),
+                                      (int(Mask.OUTER_BOUNDARY), outer, lev_out, -1.0)):
         gmask = mask == side_code
         if not gmask.any():
             continue
         gj, gi = np.nonzero(gmask)
-        # score candidate partners by how far inside the ring they sit:
-        # inner ghosts want max lev_in, outer ghosts want min lev_out
-        best_score = np.full(len(gj), -np.inf)
-        best_pj = np.full(len(gj), -1)
-        best_pi = np.full(len(gj), -1)
-        for dj, di in _STENCIL:
-            pj, pi = gj + dj, gi + di
-            ok = (pj >= 0) & (pj < ny) & (pi >= 0) & (pi < nx)
-            okc = ok.copy()
-            okc[ok] &= interior[pj[ok], pi[ok]]
-            score = np.full(len(gj), -np.inf)
-            sign = 1.0 if side_code == int(Mask.INNER_BOUNDARY) else -1.0
-            score[okc] = sign * lev[pj[okc], pi[okc]]
-            take = score > best_score
-            best_score[take] = score[take]
-            best_pj[take] = pj[take]
-            best_pi[take] = pi[take]
-        keep = best_pj >= 0
-        gj, gi = gj[keep], gi[keep]
-        pj, pi = best_pj[keep], best_pi[keep]
+        # score the six candidate partners of every ghost, one row per
+        # _STENCIL step, by how far inside the ring they sit (inner ghosts
+        # want max lev_in, outer ghosts min lev_out). Non-interior candidates
+        # score -inf (a NaN level is never interior); clipping sends off-grid
+        # ones to the border, where no node is interior. argmax takes the
+        # first best, and every ghost has an interior candidate, since the
+        # layer is built from them
+        pj = np.clip(gj + steps[:, :1], 0, ny - 1)
+        pi = np.clip(gi + steps[:, 1:], 0, nx - 1)
+        best = np.argmax(np.where(interior[pj, pi], sign * lev[pj, pi], -np.inf), axis=0)
         g_flat = gj * nx + gi
-        p_flat = pj * nx + pi
+        p_flat = (pj * nx + pi)[best, np.arange(len(gj))]
         a = pts[p_flat]
         b = pts[g_flat]
         # the cut may sit beyond the ghost (ghosts can be slightly inside the

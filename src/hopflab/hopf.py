@@ -170,6 +170,8 @@ def comparison_check(u: ScalarField, v: ScalarField, of: OrliczFunction,
         raise ValueError(f"direction must be 'sub' or 'super', got {direction!r}")
     if u.grid is not v.grid and (u.grid != v.grid):
         raise PreconditionFail("fields live on different grids")
+    if u.ring is not v.ring and not np.array_equal(u.mask, v.mask):
+        raise PreconditionFail("fields live on different rings")
     keys = ("inner_value", "outer_value")
     if any(fld.meta.get(k) is None for fld in (u, v) for k in keys):
         raise PreconditionFail("fields carry no boundary data")

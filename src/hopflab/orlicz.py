@@ -28,15 +28,6 @@ R_ANCHORS = 11            # interval ends among them (the lattice of [t, T])
 NORM_STEPS = 64           # halvings of the norm bracket: it ends below one ulp
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    F: float
-    h: float
-    g: float
-    Fstar: float
-    R: float
-
-
 class OrliczFunction:
     """Validated structural function with vectorized companions.
 
@@ -204,18 +195,6 @@ def conjugate(of: OrliczFunction) -> OrliczFunction:
     if of.kind == "power":
         return power(of.p / (of.p - 1.0), t_max=of.t_max ** (of.p - 1.0))
     return custom(table=of._g_table)
-
-
-def evaluate(of: OrliczFunction, t: float) -> EvalRecord:
-    """All companions at one point: F, h, g, F*, R."""
-    if t < 0 or t > of.t_max:
-        raise OutOfRange(f"t = {t!r} outside [0, {of.t_max!r}]")
-    h = float(of.h(np.array([t]))[0])
-    # g first: above h(t_max) it raises InversionFailure, where F* would
-    # raise OutOfRange
-    g = float(of.g(np.array([t]))[0])
-    R = float(of.R(np.array([t]))[0]) if t > 0 else np.inf
-    return EvalRecord(F=float(of.F(t)), h=h, g=g, Fstar=float(of.Fstar(t)), R=R)
 
 
 def young_gap(of: OrliczFunction, a: float, b: float) -> float:

@@ -672,8 +672,7 @@ class LevelDiagnostics:
     inf_lap: np.ndarray
     curvature: np.ndarray
     laplacian: np.ndarray
-    cells: np.ndarray          # nodes where every diagnostic is trustworthy
-    trusted: np.ndarray        # cells on ring.trusted(): where certificates run
+    trusted: np.ndarray        # ring.trusted() minus vanishing gradients
 
 
 def central_gradient(values: np.ndarray, h: float):
@@ -713,17 +712,10 @@ def level_diagnostics(fld: ScalarField) -> LevelDiagnostics:
     curvature is positive where superlevel sets are convex; for a harmonic
     field the identity inf_lap = curvature * |grad|^3 (two dimensions) holds
     up to the discrete Laplacian defect. Nodes with |grad| below
-    `_gradient_floor` are vanishing and left out of the cells.
+    `_gradient_floor` are vanishing and left out of the trusted nodes.
     """
     v = fld.values
     h = fld.grid.h
-    valid = fld.valid_mask()
-
-    ok = fld.interior_mask()
-    for dj in (-1, 0, 1):
-        for di in (-1, 0, 1):
-            ok &= _shift(valid, dj, di, False)
-
     vE, vW = _shift(v, 0, 1, np.nan), _shift(v, 0, -1, np.nan)
     vN, vS = _shift(v, 1, 0, np.nan), _shift(v, -1, 0, np.nan)
     vNE, vSW = _shift(v, 1, 1, np.nan), _shift(v, -1, -1, np.nan)
@@ -735,14 +727,13 @@ def level_diagnostics(fld: ScalarField) -> LevelDiagnostics:
     wxy = (vNE + vSW - vNW - vSE) / (4 * h ** 2)
     gn = np.hypot(wx, wy)
 
-    cells = ok & ~(gn < _gradient_floor(fld))
-    trusted = cells & fld.ring.trusted()
+    trusted = fld.ring.trusted() & ~(gn < _gradient_floor(fld))
 
     inf_lap = wx ** 2 * wxx + 2 * wx * wy * wxy + wy ** 2 * wyy
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = -(wxx * wy ** 2 - 2 * wx * wy * wxy + wyy * wx ** 2) / gn ** 3
     lap = wxx + wyy
-    return LevelDiagnostics(gn, inf_lap, kappa, lap, cells, trusted)
+    return LevelDiagnostics(gn, inf_lap, kappa, lap, trusted)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,18 @@ def radial_gradient(r, p, r1=1.0, r2=2.0, n=2):
     return abs(k) * r ** (k - 1) / abs(r2 ** k - r1 ** k)
 
 
+def erode8(m):
+    """The nodes of m whose eight neighbours all lie in m (off the array
+    counts as outside)."""
+    ny, nx = m.shape
+    padded = np.pad(m, 1, constant_values=False)
+    out = m.copy()
+    for dj in range(3):
+        for di in range(3):
+            out &= padded[dj:dj + ny, di:di + nx]
+    return out
+
+
 @pytest.fixture(scope="session")
 def annulus257():
     return make_annulus(1.0, 2.0, resolution=257)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import erode8
 from hopflab import (LogPowerModulus, PowerModulus, TableModulus, build_barrier,
                      compose_barrier, custom, level_diagnostics, operator_residual,
                      power, solve_harmonic, tune_m, verify_subsolution, zeta_from_field,
@@ -220,8 +221,7 @@ def test_chain_rule_identity(annulus129, harmonic129):
     v = compose_barrier(harmonic129, prof)
     dv = level_diagnostics(v)
     dw = level_diagnostics(harmonic129)
-    depth = annulus129.interior_depth()
-    cells = dv.cells & dw.cells & (depth >= 3) \
+    cells = dv.trusted & dw.trusted & erode8(annulus129.trusted()) \
         & (harmonic129.values > 0.1) & (harmonic129.values < 0.9)
     fpp = prof.eval_fpp(harmonic129.values[cells])
     expect = fpp * dw.grad_norm[cells] ** 2
@@ -245,8 +245,8 @@ def test_full_expansion_matches_residual(annulus129):
     z = zeta_from_field(w)
     of = power(3.0)
     diag = level_diagnostics(w)
-    depth = annulus129.interior_depth()
-    cells = diag.cells & (depth >= 3) & (w.values > 0.15) & (w.values < 0.85)
+    cells = (diag.trusted & erode8(annulus129.trusted()) & (w.values > 0.15)
+             & (w.values < 0.85))
     prof = tune_m(of, z, 1.0, 1.6, 1.0)
     v = compose_barrier(w, prof)
     res = operator_residual(v, of).values[cells]

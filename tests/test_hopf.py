@@ -96,6 +96,18 @@ def test_comparison_boundary_precondition(annulus129):
         comparison_check(u, v, power(3.0))
 
 
+def test_comparison_refuses_fields_on_different_rings():
+    # one grid, two masks: v's hole and ghost nodes would meet u's interior
+    u = solve_harmonic(make_annulus(1.0, 2.0, resolution=65, extent=2.2))
+    v = solve_harmonic(make_annulus(1.2, 2.0, resolution=65, extent=2.2))
+    assert u.grid == v.grid
+    with pytest.raises(PreconditionFail, match="different rings"):
+        comparison_check(u, v, power(2.0))
+    # a ring built again is the same ring
+    again = solve_harmonic(make_annulus(1.0, 2.0, resolution=65, extent=2.2))
+    assert comparison_check(u, again, power(2.0)).passed
+
+
 def test_comparison_transitivity(annulus129):
     of = power(3.0)
     u1 = solve_h_potential(annulus129, of, inner_value=0.8, outer_value=0.0)

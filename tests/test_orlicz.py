@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopflab import (WeightSample, check_condition_R, check_conditions, conjugate,
                      custom, orlicz_norm, power, young_gap)
-from hopflab.orlicz import OrliczFunction, evaluate
+from hopflab.orlicz import OrliczFunction
 from hopflab.errors import (InversionFailure, NonMonotone, NonzeroOrigin,
                             OutOfRange)
 
@@ -48,28 +48,28 @@ def test_minimal_surface_constructs():
 
 # --- evaluation -------------------------------------------------------------
 
+def companions(of, t):
+    """F(t), h(t), g(t), F*(t) and R(t) as floats."""
+    return tuple(float(f(np.array([t]))[0]) for f in (of.F, of.h, of.g, of.Fstar, of.R))
+
+
 def test_eval_power2_at_one():
-    rec = evaluate(power(2.0), 1.0)
-    assert rec.F == pytest.approx(0.5, abs=1e-12)
-    assert rec.h == pytest.approx(1.0, abs=1e-12)
-    assert rec.g == pytest.approx(1.0, abs=1e-12)
-    assert rec.Fstar == pytest.approx(0.5, abs=1e-12)
-    assert rec.R == pytest.approx(1.0, abs=1e-12)
+    F, h, g, Fstar, R = companions(power(2.0), 1.0)
+    assert F == pytest.approx(0.5, abs=1e-12)
+    assert h == pytest.approx(1.0, abs=1e-12)
+    assert g == pytest.approx(1.0, abs=1e-12)
+    assert Fstar == pytest.approx(0.5, abs=1e-12)
+    assert R == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eval_power3_at_two():
-    rec = evaluate(power(3.0), 2.0)
-    assert rec.F == pytest.approx(8.0 / 3.0, abs=1e-12)
-    assert rec.h == pytest.approx(4.0, abs=1e-12)
-    assert rec.g == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    F, h, g, Fstar, R = companions(power(3.0), 2.0)
+    assert F == pytest.approx(8.0 / 3.0, abs=1e-12)
+    assert h == pytest.approx(4.0, abs=1e-12)
+    assert g == pytest.approx(np.sqrt(2.0), abs=1e-12)
     # closed form of the conjugate for h = t^2: (2/3) t^(3/2)
-    assert rec.Fstar == pytest.approx((2.0 / 3.0) * 2.0 ** 1.5, abs=1e-9)
-    assert rec.R == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eval_out_of_range():
-    with pytest.raises(OutOfRange):
-        evaluate(power(2.0, t_max=10.0), 11.0)
+    assert Fstar == pytest.approx((2.0 / 3.0) * 2.0 ** 1.5, abs=1e-9)
+    assert R == pytest.approx(1.0, abs=1e-12)
 
 
 def tabulated(h):
@@ -78,29 +78,20 @@ def tabulated(h):
     return custom(table=(ts, h(ts)))
 
 
-@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 3.0, 7.5, 10.0])
-def test_eval_tabulated_reads_the_law_antiderivatives(t):
-    # one F and one F* per law: evaluate reads the ones the solver's energy uses
-    of = tabulated(lambda t: t + t * t / 2)
-    rec = evaluate(of, t)
-    assert rec.F == float(of.F(t))
-    assert rec.Fstar == float(of.Fstar(t))
-
-
 @pytest.mark.parametrize("t", [0.25, 1.0, 2.0, 3.0])
 def test_eval_tabulated_young_equality(t):
     # F(t) + F*(h(t)) = t h(t); exactly F = t^2/2 + t^3/6 here
     of = tabulated(lambda t: t + t * t / 2)
-    rec = evaluate(of, t)
-    gap = rec.F + evaluate(of, rec.h).Fstar - t * rec.h
-    assert abs(gap) <= 1e-6 * t * rec.h
-    assert abs(rec.F - (t * t / 2 + t ** 3 / 6)) <= 1e-6
+    F, h = float(of.F(t)), float(of.h(t))
+    gap = F + float(of.Fstar(h)) - t * h
+    assert abs(gap) <= 1e-6 * t * h
+    assert abs(F - (t * t / 2 + t ** 3 / 6)) <= 1e-6
 
 
 def test_eval_tabulated_above_h_top_fails_to_invert():
     # h(t_max) = 5, so g has no bracket at 6
     with pytest.raises(InversionFailure):
-        evaluate(tabulated(lambda t: t / 2), 6.0)
+        tabulated(lambda t: t / 2).g(6.0)
 
 
 @settings(max_examples=60, deadline=None)

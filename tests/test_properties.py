@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import erode8
 from hopflab import (Disk, Grid, LogPowerModulus, Mask, PowerModulus, ScalarField,
                      SolveOptions, build_dini_cap, comparison_check, compose_barrier,
                      custom, hopf, level_diagnostics, make_cap_ring, make_ring,
@@ -36,12 +37,48 @@ def ring_builders(draw):
     return lambda: make_cap_ring(build_dini_cap(r_d, eps), side, resolution=n)
 
 
+def _reference_partners(ring):
+    """Ghost partners by the per-direction loop: each ghost keeps the first
+    interior neighbour, in stencil order, whose level is strictly deeper
+    than every earlier one's (inner ghosts: max lev_in; outer: min lev_out)."""
+    mask, grid = ring.mask, ring.grid
+    ny, nx = mask.shape
+    interior = mask == Mask.INTERIOR
+    index, partner = [], []
+    for side, dom, sign in ((Mask.INNER_BOUNDARY, ring.inner, 1.0),
+                            (Mask.OUTER_BOUNDARY, ring.outer, -1.0)):
+        lev = np.asarray(dom.level(grid.points(), smoothing=grid.h), dtype=float)
+        gj, gi = np.nonzero(mask == side)
+        best_score = np.full(len(gj), -np.inf)
+        best = np.full(len(gj), -1)
+        for dj, di in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
+            pj, pi = gj + dj, gi + di
+            ok = (pj >= 0) & (pj < ny) & (pi >= 0) & (pi < nx)
+            ok[ok] &= interior[pj[ok], pi[ok]]
+            score = np.full(len(gj), -np.inf)
+            score[ok] = sign * lev[pj[ok], pi[ok]]
+            take = score > best_score
+            best_score[take] = score[take]
+            best[take] = (pj * nx + pi)[take]
+        index.append(gj * nx + gi)
+        partner.append(best)
+    return np.concatenate(index), np.concatenate(partner)
+
+
+# a concentric annulus on an even grid: mirror-image candidate partners tie
+# in exact arithmetic, and the rounding of the grid coordinates decides
 @settings(max_examples=16, deadline=None)
 @given(build=ring_builders())
+@example(build=lambda: make_ring(Disk((0.0, 0.0), 0.5156 * 1.6805),
+                                 Disk((0.0, 0.0), 1.6805), Grid.square(1.025 * 1.6805, 84)))
 def test_random_ring_invariants(build):
     ring = build()
     theta = ring.ghosts.theta
     assert np.all((theta >= 0.15) & (theta <= 4.0))
+    assert np.array_equal(ring.trusted(), erode8(ring.mask == Mask.INTERIOR))
+    index, partner = _reference_partners(ring)
+    assert np.array_equal(ring.ghosts.index, index)
+    assert np.array_equal(ring.ghosts.partner, partner)
 
     # discrete maximum principle: data 1 inside, 0 outside
     w = solve_harmonic(ring)
@@ -135,6 +172,8 @@ def laws(draw):
     return power(p) if draw(st.booleans()) else tabulated(p)
 
 
+# the 200-row tables of some exponents trip the solver's coercivity screen
+@pytest.mark.filterwarnings("ignore:flow law failed a quick coercivity screen")
 @settings(max_examples=12, deadline=None)
 @given(build=ring_builders(), of=laws())
 @example(build=lambda: make_ring(Disk((0.0, 0.0), 1.0), Disk((0.0, 0.0), 2.0),

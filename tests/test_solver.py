@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import radial_potential
+from conftest import erode8, radial_potential
 from hopflab import (Mask, ScalarField, SolveOptions, custom, gradient_bounds,
                      level_diagnostics, make_annulus, operator_residual, power,
                      solve_h_potential, solve_harmonic, solver, trace_flow_line)
@@ -124,7 +124,7 @@ def test_residual_is_five_point_laplacian_for_p2(annulus129):
     lap = np.zeros_like(vals)
     lap[1:-1, 1:-1] = (vals[1:-1, 2:] + vals[1:-1, :-2] + vals[2:, 1:-1]
                        + vals[:-2, 1:-1] - 4 * vals[1:-1, 1:-1]) / h ** 2
-    deep = ring.interior_depth() >= 2
+    deep = ring.trusted()
     diff = np.abs(res.values - lap)[deep]
     assert float(diff.max()) < 1e-9 * max(1.0, float(np.abs(lap[deep]).max()))
 
@@ -140,7 +140,7 @@ def test_solved_field_residual_below_tol(annulus129):
 def test_curvature_radial(annulus129, harmonic129):
     diag = level_diagnostics(harmonic129)
     r = annulus_radius(annulus129)
-    cells = diag.cells & (annulus129.interior_depth() >= 3)
+    cells = diag.trusted & erode8(annulus129.trusted())
     rel = np.abs(diag.curvature[cells] * r[cells] - 1.0)
     assert float(rel.max()) < 0.02
 
@@ -159,8 +159,8 @@ def test_linear_field_flat_diagnostics(annulus129):
     pts = ring.grid.points()
     fld = ScalarField(ring, pts[..., 0].copy(), {"delta_final": 1e-6})
     diag = level_diagnostics(fld)
-    assert float(np.abs(diag.curvature[diag.cells]).max()) < 1e-8
-    assert float(np.abs(diag.inf_lap[diag.cells]).max()) < 1e-8
+    assert float(np.abs(diag.curvature[diag.trusted]).max()) < 1e-8
+    assert float(np.abs(diag.inf_lap[diag.trusted]).max()) < 1e-8
 
 
 def test_superlevel_sets_convex(annulus129, harmonic129):
@@ -186,10 +186,9 @@ def _reference_gradient_bounds(fld, ring):
     array code must match bit for bit."""
     v = fld.values
     h = fld.grid.h
-    depth = ring.interior_depth()
     interior = ring.mask == Mask.INTERIOR
     ny, nx = v.shape
-    core = depth >= 2
+    core = erode8(interior)
     gx = np.full_like(v, np.nan)
     gy = np.full_like(v, np.nan)
     gx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
@@ -700,3 +699,31 @@ def test_flow_line_constant_gradient_slab(annulus129):
     tr = trace_flow_line(fld, (1.5, 0.0))
     gn = np.array([t[1] for t in tr])
     assert np.ptp(gn) < 1e-8
+
+
+def _flat_top(ring, top):
+    """w = x - x_b + top up to the node x_b nearest x = 1.5, then flat at top.
+    Node gradients are 1 before x_b, 1/2 at x_b and 0 beyond, so at
+    x_b + t h (0 < t < 1) the interpolated gradient is (1 - t) / 2."""
+    g = ring.grid
+    x_b = g.x0 + round((1.5 - g.x0) / g.h) * g.h
+    x = g.points()[..., 0]
+    return ScalarField(ring, np.minimum(x - x_b + top, top), {"delta_final": 1e-6}), x_b
+
+
+def test_flow_line_vanishing_gradient_inside_the_band_raises(annulus129):
+    # from x_b + h/2 the first upward step lands on the flat, at w = 0.5
+    fld, x_b = _flat_top(annulus129, 0.5)
+    with pytest.raises(StagnationPoint, match="below floor"):
+        trace_flow_line(fld, (x_b + 0.5 * annulus129.grid.h, 0.0))
+
+
+@pytest.mark.parametrize("t", [0.5, 0.9])
+def test_flow_line_stops_at_a_flat_top(annulus129, t):
+    # from t = 0.5 the first upward step lands on the flat, whose w = 0.96
+    # is outside (0.05, 0.95); from t = 0.9 its midpoint already lies there.
+    # Either way the trace ends on the flat, with no error
+    fld, x_b = _flat_top(annulus129, 0.96)
+    ws = np.array(trace_flow_line(fld, (x_b + t * annulus129.grid.h, 0.0)))[:, 0]
+    assert np.all(np.diff(ws) > 0) and ws[0] < 0.5
+    assert ws[-1] == pytest.approx(0.96, abs=1e-12)
