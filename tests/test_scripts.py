@@ -50,10 +50,11 @@ def test_bench_pairs_script(tmp_path):
     # this checkout against itself: one seed, one short run per side
     out = tmp_path / "pairs.json"
     run = run_script("bench_pairs.py", str(ROOT), str(ROOT), "--seeds", "1",
-                     "--seconds", "1", "--workloads", "annulus-p3-257", "--json", str(out))
+                     "--seconds", "1", "--workloads", "annulus-p3-257", "--imports", "2",
+                     "--json", str(out))
     assert run.returncode == 0, run.stderr
     result = json.loads(out.read_text())
-    assert set(result) == {"parent", "change", "pairs"}
+    assert set(result) == {"parent", "change", "pairs", "imports"}
     metrics = {"setup_s", "check_s", "solve_s", "verify_s", "pipeline_s", "peak_rss_mb",
                "newton_iters"}
     for side in ("parent", "change"):
@@ -68,6 +69,14 @@ def test_bench_pairs_script(tmp_path):
     assert set(pairs) == metrics
     assert all(len(pairs[m]["parent"]) == len(pairs[m]["change"]) == 1 for m in metrics)
     assert all(0 <= pairs[m]["change_lower_in"] <= 1 for m in metrics)
+    # two ABBA import timings per side, their ratio, and hopflab's own
+    # import time in each side (the same checkout: equal up to noise)
+    imports = result["imports"]["annulus-p3-257"]
+    pair = imports["seeds"]["1"]
+    assert set(pair) == {"parent", "change", "ratio", "hopflab_us"}
+    assert len(pair["parent"]) == len(pair["change"]) == 2
+    assert pair["ratio"] > 0 and imports["ratio_median"] == pair["ratio"]
+    assert all(us > 0 for us in pair["hopflab_us"].values())
 
 
 def test_solve_pairs_script(tmp_path):

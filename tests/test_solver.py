@@ -596,6 +596,19 @@ def test_gmres_of_a_zero_right_hand_side_is_zero(laplacian65):
     assert iterations == 0 and not np.any(x)
 
 
+def test_gmres_restarts_from_the_true_residual(laplacian65):
+    # unpreconditioned, restarts reach the tolerance that one cycle misses;
+    # `last` returns the final iterate of a miss
+    A = laplacian65
+    b = np.sin(np.arange(A.shape[0], dtype=float))
+    x, iterations = solver._gmres(A, lambda r: r.copy(), b, 1e-2, 40)
+    assert solver.KRYLOV_MAX < iterations <= 40 * solver.KRYLOV_MAX
+    assert np.linalg.norm(A @ x - b) <= 1e-2 * np.linalg.norm(b)
+    x, iterations = solver._gmres(A, lambda r: r.copy(), b, last=True)
+    assert iterations == solver.KRYLOV_MAX
+    assert 0 < np.linalg.norm(A @ x - b) < np.linalg.norm(b)
+
+
 def test_gmres_fails_with_a_poor_preconditioner(laplacian65):
     # unpreconditioned, the Laplacian's condition number keeps GMRES far
     # from KRYLOV_TOL within KRYLOV_MAX iterations
@@ -619,7 +632,6 @@ def test_multilevel_solve_matches_single_level(name, request, monkeypatch):
     data = (1.0, 0.0) if name == "annulus257" else (0.0, 1.0)
     of = power(3.0)
     single = _single_level(monkeypatch, lambda: solve_h_potential(ring, of, None, *data))
-    n_fine = solver._assembly(ring).n_unknown
     fresh = dataclasses.replace(ring, _cache={})    # so its Laplace solve counts too
     calls = _count_factorisations(monkeypatch)
     u = solve_h_potential(fresh, of, None, *data)
@@ -633,10 +645,11 @@ def test_multilevel_solve_matches_single_level(name, request, monkeypatch):
         exact = radial_potential(annulus_radius(ring), 3.0)
         err = [float(np.max(np.abs(f.values - exact)[interior])) for f in (u, single)]
         assert err[0] <= err[1] + 1e-12
-    # each grid factorises once for its harmonic and once for its first
-    # Newton step, whose factor serves every later step there
-    fine = [args[0] for args in calls if args[0].shape[0] == n_fine]
-    assert len(fine) == 2 and len(calls) == 4
+    # the half grid factorises its Laplacian and its first Newton Jacobian;
+    # the fine grid factorises the Galerkin operators of its own two on the
+    # half grid, and the factor of its first step serves every later step
+    n_half = solver._assembly(solver._half_ring(fresh)).n_unknown
+    assert [args[0].shape[0] for args in calls] == [n_half] * 4
     assert [level[2] for level in u.meta["levels"]] == [1, 1]
 
 
@@ -727,3 +740,15 @@ def test_flow_line_stops_at_a_flat_top(annulus129, t):
     ws = np.array(trace_flow_line(fld, (x_b + t * annulus129.grid.h, 0.0)))[:, 0]
     assert np.all(np.diff(ws) > 0) and ws[0] < 0.5
     assert ws[-1] == pytest.approx(0.96, abs=1e-12)
+
+
+def test_coercivity_screen_of_tabulated_laws():
+    # exact power laws tabulated in 200 rows on [0, 100] pass the screen at
+    # every p in [1.3, 4.9] (the pytest config turns the warning into an
+    # error); expm1, which no power bounds, still fails it
+    ts = np.linspace(0.0, 100.0, 200)
+    for p in np.arange(1.3, 4.95, 0.1):
+        solver._coercivity_warning(custom(table=(ts, ts ** (p - 1))))
+    ts = np.linspace(0.0, 30.0, 200)
+    with pytest.warns(UserWarning, match="coercivity screen"):
+        solver._coercivity_warning(custom(table=(ts, np.expm1(ts))))
