@@ -8,7 +8,7 @@ from .barrier import (BarrierProfile, ZetaProfile, build_barrier,
 from .geometry import (ConvexRing, DiniCap, Disk, Grid, LogPowerModulus,
                        Mask, Polygon, PowerModulus, Reflected, TableModulus,
                        build_dini_cap, dini_report, make_annulus, make_cap_ring,
-                       make_ring, make_rings, rasterize)
+                       make_ring, make_rings)
 from .hopf import (comparison_check, discretization_benchmark, hopf_constant,
                    orlicz_holder_check, outer_lipschitz_check)
 from .orlicz import (ConditionReport, OrliczFunction, WeightSample,
@@ -24,7 +24,6 @@ __all__ = [
     "ConvexRing", "DiniCap", "Disk", "Grid", "LogPowerModulus", "Mask",
     "Polygon", "PowerModulus", "Reflected", "TableModulus", "build_dini_cap",
     "dini_report", "make_annulus", "make_cap_ring", "make_ring", "make_rings",
-    "rasterize",
     "comparison_check", "discretization_benchmark", "hopf_constant",
     "orlicz_holder_check", "outer_lipschitz_check",
     "ConditionReport", "OrliczFunction", "WeightSample", "check_condition_R",

@@ -707,23 +707,6 @@ def make_rings(cap: DiniCap, resolution: int = 257) -> RingPair:
                     make_cap_ring(cap, "outer", resolution))
 
 
-def rasterize(dom: ConvexDomain, grid: Grid):
-    """Inside mask and signed distance on grid nodes.
-
-    Distance comes from the exact formula for disks and polygons and from a
-    boundary polyline of SDF_BOUNDARY_POINTS vertices otherwise (error well
-    below a cell diagonal).
-    """
-    pts = grid.points()
-    (x0, x1), (y0, y1) = dom.bbox()
-    if x0 < grid.x0 - grid.h or x1 > grid.x0 + (grid.nx - 1) * grid.h + grid.h \
-            or y0 < grid.y0 - grid.h or y1 > grid.y0 + (grid.ny - 1) * grid.h + grid.h:
-        raise GridTooSmall("grid does not cover the domain")
-    mask = dom.inside(pts, smoothing=grid.h)
-    sdf = dom.signed_distance(pts, smoothing=grid.h)
-    return mask, sdf
-
-
 def convexity_midpoint_check(inside_mask: np.ndarray, grid: Grid, n_pairs: int = 10_000,
                              rng: np.random.Generator | None = None) -> bool:
     """Random interior point pairs must have interior midpoints (one-cell slack)."""

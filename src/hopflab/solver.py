@@ -39,17 +39,15 @@ _G_LOWER = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])   # slots (A, B, C)
 _G_UPPER = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])   # slots (A, C, D)
 _QUADRATIC = power(2.0)                                      # the Laplacian's law
 _LEAF = 24                # dissection boxes of at most this many nodes stay whole
-_SEARCH = 1000            # boxes above this many nodes look for their shortest line
-_BALANCE = 0.35           # least share of a box's nodes on each side of that line
 GRADIENT_FLOOR = 10.0     # gradients below this many delta_final count as vanishing
 MAX_FLOW_STEPS = 200_000  # midpoint steps trace_flow_line takes in each direction
 COARSEST = 129            # least nodes a side of a half grid that serves a finer one
 TAIL = 2                  # last deltas of the schedule run on the finer grid
 KRYLOV_MAX = 12           # GMRES iterations between restarts
 KRYLOV_TOL = 1e-6         # relative linear residual a GMRES direction must reach
-KRYLOV_CYCLES = 3         # GMRES restarts a two-level direction gets after a refresh
-HARMONIC_TOL = 1e-13      # relative linear residual of a two-level Laplace solve
-HARMONIC_CYCLES = 4       # GMRES restarts a two-level Laplace solve gets
+KRYLOV_CYCLES = 3         # GMRES restarts a Newton direction gets after a refresh
+HARMONIC_TOL = 1e-13      # relative linear residual of a Laplace solve
+HARMONIC_CYCLES = 4       # GMRES restarts a Laplace solve gets
 JACOBI = 0.7              # damping of the two-level cycle's Jacobi sweeps
 RESIDUAL_MARGIN = 1e-3    # certificate residual tolerances, relative to flux_scale
 
@@ -111,15 +109,14 @@ class SolveOptions:
     `flux_scale`), so one setting covers mild and strongly degenerate laws;
     max_iter: Newton iterates per delta stage.
 
-    The unknowns are numbered in nested-dissection order for sparse LU. The
-    Laplace solve runs once per ring and serves any boundary data, including
-    the harmonic warm start of the Newton solve. Each grid's Newton steps
-    are solved by GMRES to a relative linear residual of KRYLOV_TOL, with a
-    held factor that the grid's first step, and any step where GMRES misses,
-    builds from its own Jacobian (see `_Directions`). Only the coarsest grid
-    of a solve factorises its own matrices; every finer grid factorises the
-    Galerkin operator on its half grid and solves by the two-level cycle
-    (see `_two_level`), so no factor is larger than a half grid's."""
+    The Laplace solve runs once per ring and serves any boundary data,
+    including the harmonic warm start of the Newton solve. It and every
+    Newton step are solved by GMRES with the ring's `_preconditioner`: a
+    V-cycle over the ring's hierarchy, so only operators of the coarsest
+    ring are factorised, in nested-dissection order. Each grid's Newton
+    steps reach a relative linear residual of KRYLOV_TOL with a held coarse
+    solve that the grid's first step, and any step where GMRES misses,
+    builds from its own Jacobian (see `_Directions`)."""
     delta_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     tol: float = 1e-8
     max_iter: int = 60
@@ -354,55 +351,32 @@ def _dissection_order(i, j):
     (A. George, "Nested dissection of a regular finite element mesh",
     SIAM J. Numer. Anal. 10, 1973): indices into i and j.
 
-    Each box of nodes is split at one grid line; both sides are numbered
-    first, recursively, and the line last. One line separates because the
-    criss-cross stencil couples a node only to its E, W, N, S and SW-NE
-    diagonal neighbours. Boxes above _SEARCH nodes split at their shortest
-    line, along either axis, that leaves at least _BALANCE of the nodes on
-    each side; smaller boxes, or boxes with no such line, at the middle line
-    of their longer side. Boxes of at most _LEAF nodes keep the given order."""
+    A box of more than _LEAF nodes splits at the middle line of its longer
+    side; both sides are numbered first, recursively, and the line last. One
+    line separates because the criss-cross stencil couples a node only to
+    its E, W, N, S and SW-NE diagonal neighbours. Boxes of at most _LEAF
+    nodes keep the given order."""
     def split(idx):
         if len(idx) <= _LEAF:
             return [idx]
-        coord, line = _separator(i[idx], j[idx])
+        ci, cj = i[idx], j[idx]
+        i0, i1, j0, j1 = ci.min(), ci.max(), cj.min(), cj.max()
+        coord, line = (ci, (i0 + i1) // 2) if i1 - i0 >= j1 - j0 else (cj, (j0 + j1) // 2)
         return split(idx[coord < line]) + split(idx[coord > line]) + [idx[coord == line]]
     return np.concatenate(split(np.arange(len(i))))
 
 
-def _separator(ci, cj):
-    """(coordinates, value) of the grid line that splits the nodes at
-    columns ci, rows cj (see _dissection_order)."""
-    n = len(ci)
-    best = None
-    if n > _SEARCH:
-        for coord in (ci, cj):
-            lo = coord.min()
-            count = np.bincount(coord - lo)
-            before = np.cumsum(count) - count
-            after = n - before - count
-            ok = np.flatnonzero((before >= _BALANCE * n) & (after >= _BALANCE * n))
-            if ok.size:
-                # the shortest line; among those, the most balanced
-                skew = np.abs(before - after)
-                k = ok[np.lexsort((skew[ok], count[ok]))[0]]
-                if best is None or (count[k], skew[k]) < best[0]:
-                    best = ((count[k], skew[k]), coord, lo + k)
-    if best is not None:
-        return best[1], best[2]
-    i0, i1, j0, j1 = ci.min(), ci.max(), cj.min(), cj.max()
-    return (ci, (i0 + i1) // 2) if i1 - i0 >= j1 - j0 else (cj, (j0 + j1) // 2)
-
-
 def _lu(A):
-    """SuperLU factor of a Jacobian or of a Galerkin operator. Its unknowns are
-    already numbered in nested-dissection order, so SuperLU keeps the column
-    order as given."""
+    """SuperLU factor of an operator of the coarsest ring: a Jacobian, or a
+    finer ring's Jacobian carried down by Galerkin products (see
+    `_preconditioner`). Its unknowns are already numbered in nested-dissection
+    order, so SuperLU keeps the column order as given."""
     import scipy.sparse.linalg as spla
     return spla.splu(A, permc_spec="NATURAL")
 
 
 # --------------------------------------------------------------------------
-# the level hierarchy and the two-level cycle
+# the level hierarchy and the V-cycle
 # --------------------------------------------------------------------------
 
 def _half_ring(ring: ConvexRing):
@@ -463,8 +437,9 @@ def _two_level(A, P, coarse_solve):
     31, 1977; Trottenberg, Oosterlee & Schueller, *Multigrid*, 2001): from
     x = 0, two Jacobi sweeps damped by JACOBI with A's diagonal, the coarse
     correction x += P coarse_solve(P^T (r - A x)), and two more sweeps.
-    coarse_solve solves with the Galerkin operator of A or of an earlier
-    Jacobian. The map is linear and fixed, so it right-preconditions GMRES."""
+    coarse_solve approximates the inverse of the Galerkin operator of A or
+    of an earlier Jacobian (see `_preconditioner`). The map is linear and
+    fixed, so it right-preconditions GMRES."""
     d = JACOBI / A.diagonal()
 
     def cycle(r):
@@ -477,6 +452,19 @@ def _two_level(A, P, coarse_solve):
     return cycle
 
 
+def _preconditioner(ring: ConvexRing, A):
+    """The preconditioner of an operator A on ring's unknowns, as a map
+    r -> x: the LU solve on a ring with no half ring, and on any other ring
+    the two-level cycle whose coarse solve is this preconditioner of the
+    Galerkin operator on the half ring. So the cycles nest into a V-cycle,
+    and only the coarsest ring's operators are factorised."""
+    half = _half_ring(ring)
+    if half is None:
+        return _lu(A).solve
+    P = _prolongation(ring)
+    return _two_level(A, P, _preconditioner(half, _galerkin(A, P)))
+
+
 # --------------------------------------------------------------------------
 # solvers
 # --------------------------------------------------------------------------
@@ -487,18 +475,15 @@ def _harmonic_unknowns(ring: ConvexRing, inner_value: float, outer_value: float)
     One solve with data (1, 0) per ring, cached on the ring as w; any other
     data give outer + (inner - outer) * w, exactly in exact arithmetic
     because the ghost closure reproduces constants, and bitwise w itself
-    for (1, 0). A ring with a half ring solves by GMRES with the two-level
-    cycle, to a relative residual of HARMONIC_TOL; one without, by LU."""
+    for (1, 0). The solve is GMRES with the ring's `_preconditioner`, to a
+    relative residual of HARMONIC_TOL."""
     def solve(r):
         asm = _assembly(r)
         v = asm.full_values(np.zeros(asm.n_unknown), asm.closure_offset(1.0, 0.0))
         A = asm.jacobian_rows(v, _QUADRATIC, 0.0)
         b = -asm.residual_rows(v, _QUADRATIC, 0.0)
-        if _half_ring(r) is None:
-            return _lu(A).solve(b)
-        P = _prolongation(r)
-        cycle = _two_level(A, P, _lu(_galerkin(A, P)).solve)
-        return _gmres(A, cycle, b, HARMONIC_TOL, HARMONIC_CYCLES, last=True)[0]
+        return _gmres(A, _preconditioner(r, A), b, HARMONIC_TOL, HARMONIC_CYCLES,
+                      last=True)[0]
     w = ring.cached("harmonic", solve)
     return outer_value + (inner_value - outer_value) * w
 
@@ -525,8 +510,9 @@ def solve_h_potential(ring: ConvexRing, of: OrliczFunction,
     discrete energy. On grids of at least 2 * COARSEST - 1 nodes a side the
     schedule first runs on the half grid (see `_continuation`); meta["log"]
     holds the iterates on this ring's grid, meta["levels"] the iterates,
-    factorisations (of Jacobians on the coarsest grid, of their Galerkin
-    operators above it) and GMRES iterations per grid. Non-convergence is
+    factorisations and GMRES iterations per grid. Each factorisation is an
+    LU on the coarsest ring: of a Jacobian there, or of a finer grid's
+    Jacobian carried down to it by Galerkin products. Non-convergence is
     recorded on meta, not raised.
     """
     opts = opts or SolveOptions()
@@ -561,8 +547,8 @@ def _continuation(ring, of, opts, inner_value, outer_value):
     here start from this ring's harmonic plus P times the coarse solution's
     difference from the half ring's harmonic, so a node with no coarse
     weight keeps the harmonic; otherwise the whole schedule runs here from
-    the harmonic. The Newton directions of a ring with a half ring use its
-    two-level cycle (see `_Directions`). The log holds this grid's iterates
+    the harmonic. The Newton directions run GMRES preconditioned by the
+    V-cycle (see `_Directions`). The log holds this grid's iterates
     only; levels lists (nodes a side, logged iterates, factorisations,
     GMRES iterations) of each grid whose solution fed this one, coarsest
     first, this grid last."""
@@ -577,7 +563,7 @@ def _continuation(ring, of, opts, inner_value, outer_value):
         u = u + P @ (coarse_u - coarse_w)
     asm = _assembly(ring)
     q0 = asm.closure_offset(inner_value, outer_value)
-    directions = _Directions(P)     # holds the newest factor across the stages
+    directions = _Directions(ring)  # holds the newest coarse solve across the stages
     log = []
     converged = True
     J = None
@@ -606,21 +592,20 @@ def _newton_stage(asm, of, q0, u, delta, opts, directions):
     """Damped Newton on the stationarity rows; merit is the squared residual.
 
     Each direction du solves the Jacobian system A du = -G to a relative
-    residual eta < 1 (see `_Directions`): exactly after a factorisation of
-    the Jacobian itself, to eta <= KRYLOV_TOL by GMRES, and to the eta of
-    GMRES's last iterate, below 1 unless GMRES stalls, where a two-level
-    step misses even with a new factor. Since
+    residual eta < 1 (see `_Directions`): to eta <= KRYLOV_TOL by GMRES, or
+    to the eta of GMRES's last iterate, below 1 unless GMRES stalls, where a
+    step misses even with a new coarse solve. Since
     G.A du = -|G|^2 + G.(A du + G) <= -(1 - eta)|G|^2 < 0, every direction
-    descends on the merit |G|^2 (the
-    inexact Newton condition of Dembo, Eisenstat & Steihaug, SIAM J. Numer.
-    Anal. 19, 1982); a failed backtracking line search therefore means the
-    residual assembly has reached its floating-point floor. Near the
-    tolerance that counts as converged; far from it the stage reports
-    failure with its last accepted iterate.
+    descends on the merit |G|^2 (the inexact Newton condition of Dembo,
+    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982); a failed
+    backtracking line search therefore means the residual assembly has
+    reached its floating-point floor. Near the tolerance that counts as
+    converged; far from it the stage reports failure with its last accepted
+    iterate.
     """
     v = asm.full_values(u, q0)
     G = asm.residual_rows(v, of, delta)
-    phi = float(G @ G)
+    phi = _dot(G, G)
     scale = max(1.0, asm.flux_scale(v, of, delta))
     stage_log = []
     for _ in range(opts.max_iter):
@@ -636,7 +621,7 @@ def _newton_stage(asm, of, q0, u, delta, opts, directions):
             u_try = u + step * du
             v_try = asm.full_values(u_try, q0)
             G_try = asm.residual_rows(v_try, of, delta)
-            phi_try = float(G_try @ G_try)
+            phi_try = _dot(G_try, G_try)
             if phi_try <= (1.0 - 2e-4 * step) * phi:
                 accepted = True
                 break
@@ -649,48 +634,54 @@ def _newton_stage(asm, of, q0, u, delta, opts, directions):
 
 
 class _Directions:
-    """The Newton directions of one grid, A du = -G, from the newest factor.
+    """The Newton directions of one grid, A du = -G, by GMRES with a held
+    coarse solve.
 
-    The first step builds a factor from its Jacobian; each later step runs
-    `_gmres` preconditioned with the held factor, and if that misses
-    KRYLOV_TOL within KRYLOV_MAX iterations, builds a factor from its own
-    Jacobian and holds that one instead. Nested iteration starts each grid
-    next to its solution, so a held factor stays close to the later
-    Jacobians, across delta stages. Each step wastes at most one capped
-    GMRES attempt, and no grid factorises more often than it takes Newton
-    steps. Counts the factorisations and the GMRES iterations.
+    The coarse solve is the `_preconditioner` of a Jacobian on the coarsest
+    grid, and on a finer grid that of the Jacobian's Galerkin operator
+    P^T A P on the half ring, used inside the two-level cycle of each step's
+    own Jacobian (see `_two_level`). The first step builds it. Each later
+    step makes one `_gmres` try with the held coarse solve; if that misses
+    KRYLOV_TOL within KRYLOV_MAX iterations, the step builds a new one from
+    its own Jacobian and holds that instead. After a build the step runs
+    GMRES with up to KRYLOV_CYCLES restarts and takes its last iterate
+    should that still miss (see `_newton_stage`). Nested iteration starts
+    each grid next to its solution, so a held coarse solve stays close to
+    the later Jacobians, across delta stages, and no grid builds more often
+    than it takes Newton steps. Counts the builds, one LU each, and the
+    GMRES iterations."""
 
-    On the coarsest grid (P None) the factor is the LU of the Jacobian, and
-    a new factor solves its step directly. On a grid with a half grid it is
-    the LU of the Galerkin operator P^T A P, GMRES is preconditioned with
-    the two-level cycle of the step's own Jacobian (see `_two_level`), and a
-    new factor's step runs GMRES with up to KRYLOV_CYCLES restarts and takes
-    its last iterate should that still miss (see `_newton_stage`)."""
-
-    def __init__(self, P=None):
-        self.P = P
-        self.lu = None
+    def __init__(self, ring: ConvexRing):
+        half = _half_ring(ring)
+        self.coarse_ring = ring if half is None else half
+        self.P = None if half is None else _prolongation(ring)
+        self.coarse = None
         self.factorisations = 0
         self.krylov = 0
 
     def solve(self, A, G):
-        if self.lu is not None:
+        if self.coarse is not None:
             du, iterations = _gmres(A, self._precondition(A), -G)
             self.krylov += iterations
             if du is not None:
                 return du
-        self.lu = None                  # no second factor alive while _lu runs
-        self.lu = _lu(A if self.P is None else _galerkin(A, self.P))
+        self.coarse = None              # no second factor alive while _lu runs
+        self.coarse = _preconditioner(self.coarse_ring,
+                                      A if self.P is None else _galerkin(A, self.P))
         self.factorisations += 1
-        if self.P is None:
-            return self.lu.solve(-G)
         du, iterations = _gmres(A, self._precondition(A), -G, KRYLOV_TOL, KRYLOV_CYCLES,
                                 last=True)
         self.krylov += iterations
         return du
 
     def _precondition(self, A):
-        return self.lu.solve if self.P is None else _two_level(A, self.P, self.lu.solve)
+        return self.coarse if self.P is None else _two_level(A, self.P, self.coarse)
+
+
+def _dot(a, b) -> float:
+    """a . b summed by numpy's own loop, not by BLAS, whose sums depend on
+    its thread count; so the solves give the same bits under any count."""
+    return float(np.einsum("i,i", a, b))
 
 
 def _gmres(A, precondition, b, tol=KRYLOV_TOL, cycles=1, last=False):
@@ -698,9 +689,9 @@ def _gmres(A, precondition, b, tol=KRYLOV_TOL, cycles=1, last=False):
     iterations from the true residual (Saad & Schultz, SIAM J. Sci. Stat.
     Comput. 7, 1986): (x, iterations), with x None when |A x - b| <= tol |b|
     is not met within `cycles` restarts, or the last iterate if `last`.
-    Modified Gram-Schmidt and Givens rotations in a fixed order, so reruns
-    repeat x bit for bit."""
-    beta = float(np.linalg.norm(b))
+    Modified Gram-Schmidt and Givens rotations in a fixed order, and every
+    inner product through `_dot`, so reruns repeat x bit for bit."""
+    beta = np.sqrt(_dot(b, b))
     if beta == 0.0:
         return np.zeros_like(b), 0
     V = np.zeros((KRYLOV_MAX + 1, len(b)))
@@ -715,9 +706,9 @@ def _gmres(A, precondition, b, tol=KRYLOV_TOL, cycles=1, last=False):
             iterations += 1
             w = A @ precondition(V[k])
             for i in range(k + 1):
-                H[i, k] = w @ V[i]
+                H[i, k] = _dot(w, V[i])
                 w -= H[i, k] * V[i]
-            H[k + 1, k] = np.linalg.norm(w)
+            H[k + 1, k] = np.sqrt(_dot(w, w))
             V[k + 1] = w / H[k + 1, k] if H[k + 1, k] > 0.0 else 0.0
             for i in range(k):
                 H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
@@ -732,7 +723,7 @@ def _gmres(A, precondition, b, tol=KRYLOV_TOL, cycles=1, last=False):
                 dx = precondition(np.linalg.solve(H[:k + 1, :k + 1], g[:k + 1]) @ V[:k + 1])
                 x_try = dx if x is None else x + dx
                 r = b - A @ x_try
-                r_norm = float(np.linalg.norm(r))
+                r_norm = np.sqrt(_dot(r, r))
                 if r_norm <= tol * beta:
                     return x_try, iterations
                 if restart:

@@ -9,8 +9,7 @@ from scipy.spatial import cKDTree
 
 from hopflab import (DiniCap, Disk, Grid, LogPowerModulus, Mask, Polygon,
                      PowerModulus, Reflected, TableModulus, build_dini_cap,
-                     dini_report, make_annulus, make_cap_ring, make_ring, make_rings,
-                     rasterize)
+                     dini_report, make_annulus, make_cap_ring, make_ring, make_rings)
 from hopflab.geometry import _distance_to_polyline, convexity_midpoint_check
 from hopflab.gridio import read_grid_file, write_grid_file
 from hopflab.errors import (BadRadii, ContainmentViolated, GapTooSmall,
@@ -87,7 +86,7 @@ def test_cap_convex_parabolic_cut():
     # eps(t) = t gives the cut y > 2 x^2; intersection with the disk is convex
     cap = build_dini_cap(0.2, PowerModulus(1.0))
     grid = Grid.square(0.25, 129, center=(0.0, 0.2))
-    mask, _ = rasterize(cap, grid)
+    mask = cap.inside(grid.points(), smoothing=grid.h)
     assert convexity_midpoint_check(mask, grid, rng=np.random.default_rng(3))
 
 
@@ -106,7 +105,7 @@ def test_cap_normal_at_origin():
 def test_cap_convexity_midpoints():
     cap = build_dini_cap(0.25, PowerModulus(0.5))
     grid = Grid.square(0.3, 257, center=(0.0, 0.25))
-    mask, _ = rasterize(cap, grid)
+    mask = cap.inside(grid.points(), smoothing=grid.h)
     assert convexity_midpoint_check(mask, grid, rng=np.random.default_rng(7))
 
 
@@ -229,27 +228,20 @@ def test_annulus_masks_nested(annulus129):
     assert np.all(r[outer_nodes] > 1.5)
 
 
-# --- rasterize --------------------------------------------------------------
+# --- domains on grid nodes ---------------------------------------------------
 
 def test_rasterize_disk_area():
     grid = Grid.square(2.0, 129)
-    mask, sd = rasterize(Disk((0.0, 0.0), 1.0), grid)
+    mask = Disk((0.0, 0.0), 1.0).inside(grid.points(), smoothing=grid.h)
     area = mask.sum() * grid.h ** 2
     assert area == pytest.approx(np.pi, rel=0.02)
 
 
 def test_rasterize_disk_center_distance():
     grid = Grid.square(2.0, 65)
-    _, sd = rasterize(Disk((0.0, 0.0), 1.0), grid)
+    sd = Disk((0.0, 0.0), 1.0).signed_distance(grid.points(), smoothing=grid.h)
     j = i = 32
     assert sd[j, i] == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_rasterize_grid_too_small():
-    from hopflab.errors import GridTooSmall
-    grid = Grid.square(0.5, 33)
-    with pytest.raises(GridTooSmall):
-        rasterize(Disk((0.0, 0.0), 1.0), grid)
 
 
 def test_rasterize_polygon():
@@ -257,7 +249,7 @@ def test_rasterize_polygon():
     square = Polygon([(-1 + dx, -1 + dy), (1 + dx, -1 + dy),
                       (1 + dx, 1 + dy), (-1 + dx, 1 + dy)])
     grid = Grid.square(2.0, 129)
-    mask, sd = rasterize(square, grid)
+    mask = square.inside(grid.points(), smoothing=grid.h)
     assert mask.sum() * grid.h ** 2 == pytest.approx(4.0, rel=0.02)
     assert convexity_midpoint_check(mask, grid, rng=np.random.default_rng(11))
 

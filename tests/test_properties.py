@@ -207,44 +207,58 @@ def test_reused_factor_matches_factorising_every_step(build, of):
     ring = build()
     steps = []
     with pytest.MonkeyPatch.context() as m:
-        solve = solver._Directions.solve
+        solve, gmres = solver._Directions.solve, solver._gmres
         m.setattr(solver._Directions, "solve",
                   lambda self, A, G: steps.append(self) or solve(self, A, G))
         u = solve_h_potential(ring, of)
-        m.setattr(solver, "_gmres", lambda A, precondition, b: (None, solver.KRYLOV_MAX))
+
+        def miss_every_try(A, precondition, b, tol=solver.KRYLOV_TOL, cycles=1,
+                           last=False):
+            # the reference misses every capped try with a held factor
+            if not last:
+                return None, solver.KRYLOV_MAX
+            return gmres(A, precondition, b, tol, cycles, last)
+
+        m.setattr(solver, "_gmres", miss_every_try)
         ref = solve_h_potential(ring, of)
     _assert_same_iterates(u, ref)
     # grids of 65-97 nodes a side have no half grid to start from; each step
-    # after the first makes at most one capped attempt, and a miss factorises.
-    # A law the harmonic start already solves (the tabulated p = 2) takes no
-    # step and factorises nothing
+    # runs GMRES, after the first with at most one capped try, and a miss
+    # factorises. A law the harmonic start already solves (the tabulated
+    # p = 2) takes no step and factorises nothing
     (n, logged, factorised, krylov), = u.meta["levels"]
     taken = sum(s is steps[0] for s in steps)
     assert min(taken, 1) <= factorised <= taken
-    assert krylov <= max(taken - 1, 0) * solver.KRYLOV_MAX
+    cap = (taken + factorised * solver.KRYLOV_CYCLES) * solver.KRYLOV_MAX
+    assert taken <= krylov <= cap
 
 
 @settings(max_examples=12, deadline=None)
 @given(build=ring_builders(), of=laws())
+@example(build=lambda: make_ring(Disk((0.0, 0.0), 1.0), Disk((0.0, 0.0), 2.0),
+                                 Grid.square(2.05, 65)),
+         of=power(3.0))
 def test_two_level_directions_match_direct_lu(build, of):
     # grids of 65-97 nodes a side solve their Laplacian and their Newton
-    # directions by the two-level cycle over a half grid of 33-49; the
-    # reference solves the same hierarchy's Newton directions with the LU
-    # of each grid's own Jacobians. No factor is larger than the half grid's
+    # directions by the V-cycle over a half grid of 33-49 and, where the ring
+    # can be built there, a quarter grid of 17-25; the reference solves the
+    # same hierarchy's Newton directions with the LU of each grid's own
+    # Jacobians. No factor is larger than the coarsest ring's operators
     ring = build()
     sizes = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(solver, "COARSEST", 33)
-        lu, directions = solver._lu, solver._Directions
+        m.setattr(solver, "COARSEST", 17)
+        lu = solver._lu
         m.setattr(solver, "_lu", lambda A: sizes.append(A.shape[0]) or lu(A))
         u = solve_h_potential(ring, of)
-        half = solver._half_ring(ring)
+        coarsest = ring
+        while solver._half_ring(coarsest) is not None:
+            coarsest = solver._half_ring(coarsest)
         m.setattr(solver, "_lu", lu)
-        m.setattr(solver, "_Directions", lambda P: directions())
+        m.setattr(solver._Directions, "solve", lambda self, A, G: lu(A).solve(-G))
         ref = solve_h_potential(build(), of)
     _assert_same_iterates(u, ref)
-    limit = solver._assembly(ring if half is None else half).n_unknown
-    assert sizes and max(sizes) <= limit
+    assert sizes and max(sizes) <= solver._assembly(coarsest).n_unknown
 
 
 def _pairing_is_invariant(ring, flip):

@@ -319,18 +319,9 @@ def test_dissection_order_numbers_separator_last(name, request):
     n = ids.size
     assert np.array_equal(np.sort(order), np.arange(n))
     assert np.array_equal(solver._assembly(ring).interior_ids, ids[order])
-    # top level: the shortest grid line, along either axis, with at least
-    # 35 % of the nodes on each side
-    lines = [(np.count_nonzero(coord == c), axis, c)
-             for axis, coord in enumerate((i, j)) for c in np.unique(coord)
-             if min(np.count_nonzero(coord < c), np.count_nonzero(coord > c)) >= 0.35 * n]
-    shortest = min(lines)[0]
-    last = np.zeros(n, dtype=bool)
-    last[order[n - shortest:]] = True
-    found = [(axis, c) for size, axis, c in lines
-             if size == shortest and np.array_equal((i, j)[axis] == c, last)]
-    assert len(found) == 1
-    coord, mid = (i, j)[found[0][0]], found[0][1]
+    # top level: the middle line of the longer side of the nodes' box
+    coord = i if np.ptp(i) >= np.ptp(j) else j
+    mid = (coord.min() + coord.max()) // 2
     position = np.empty(n, dtype=int)
     position[order] = np.arange(n)
     line = coord == mid
@@ -343,15 +334,23 @@ def test_dissection_order_numbers_separator_last(name, request):
     assert not np.any(side[A.row] * side[A.col] < 0)
 
 
-@pytest.mark.parametrize("name, limit", [("annulus257", 2.3e6), ("cap_inner257", 1.8e6),
-                                         ("cap_outer257", 2.9e6)])
-def test_dissection_fill_bounded(name, limit, request):
-    lu = solver._lu(_laplace_jacobian(_ring(name, request)))
-    assert lu.L.nnz + lu.U.nnz <= limit
+def _factorised_laplacian(ring):
+    """The Galerkin Laplacian of a 257 ring on its 129 half ring: the operator
+    the ring's Laplace solve factorises."""
+    return solver._galerkin(_laplace_jacobian(ring), solver._prolongation(ring))
+
+
+_FILL_LIMITS = {"annulus257": 0.55e6, "cap_inner257": 0.43e6, "cap_outer257": 0.67e6}
+
+
+@pytest.mark.parametrize("name", sorted(_FILL_LIMITS))
+def test_dissection_fill_bounded(name, request):
+    lu = solver._lu(_factorised_laplacian(_ring(name, request)))
+    assert lu.L.nnz + lu.U.nnz <= _FILL_LIMITS[name]
 
 
 def test_dissection_factor_sparser_than_colamd(annulus257):
-    A = _laplace_jacobian(annulus257)
+    A = _factorised_laplacian(annulus257)
     fill = [lu.L.nnz + lu.U.nnz for lu in (solver._lu(A), spla.splu(A))]
     assert fill[0] < fill[1]
 
@@ -399,13 +398,21 @@ _LAWS = {"quadratic": (lambda: power(2.0), 0.0), "p1.5": (lambda: power(1.5), 1e
          "p3": (lambda: power(3.0), 1e-2), "tabulated": (_tabulated_law, 1e-3)}
 
 
+def _per_node(asm, seed):
+    """Standard normal values drawn per interior node in row-major order, in
+    unknown order: the same values at the same nodes under any numbering."""
+    out = np.empty(asm.n_unknown)
+    ids = np.flatnonzero(asm._interior)
+    out[asm._unknown_of()[ids]] = np.random.default_rng(seed).standard_normal(ids.size)
+    return out
+
+
 def _jacobian_case(ring, law):
     """An assembly, a perturbed iterate u with its node values, and a law."""
     asm = solver._assembly(ring)
     of, delta = _LAWS[law][0](), _LAWS[law][1]
     q0 = asm.closure_offset(1.0, 0.0)
-    u = solver._harmonic_unknowns(ring, 1.0, 0.0)
-    u = u + 0.01 * np.random.default_rng(7).standard_normal(u.size)
+    u = solver._harmonic_unknowns(ring, 1.0, 0.0) + 0.01 * _per_node(asm, 7)
     return asm, q0, u, asm.full_values(u, q0), of, delta
 
 
@@ -432,11 +439,13 @@ def test_jacobian_matches_coo_spgemm_reference(name, law, request):
 @pytest.mark.parametrize("law", sorted(_LAWS))
 def test_jacobian_is_the_derivative_of_the_residual(annulus129, law):
     asm, q0, u, v, of, delta = _jacobian_case(annulus129, law)
-    d = np.random.default_rng(3).standard_normal(u.size)
+    d = _per_node(asm, 3)
     eps = 1e-6
-    plus = asm.residual_rows(asm.full_values(u + eps * d, q0), of, delta)
-    minus = asm.residual_rows(asm.full_values(u - eps * d, q0), of, delta)
-    fd = (plus - minus) / (2 * eps)
+
+    def R(k):
+        return asm.residual_rows(asm.full_values(u + k * eps * d, q0), of, delta)
+    # fourth-order central difference
+    fd = (8 * (R(1) - R(-1)) - (R(2) - R(-2))) / (12 * eps)
     Jd = asm.jacobian_rows(v, of, delta) @ d
     assert np.max(np.abs(Jd - fd)) <= 1e-6 * np.max(np.abs(Jd))
 
@@ -520,14 +529,14 @@ def test_potential_factorises_once_per_grid(monkeypatch):
     opts = SolveOptions()
     u = solve_h_potential(ring, power(3.0), opts)
     assert u.meta["converged"]
-    # every logged iterate but the last of each stage took a Newton step; the
-    # first factorised, the others reused its factor, and the Laplace solve
-    # shared by the warm start took one more factorisation
+    # every logged iterate but the last of each stage took a Newton step by
+    # GMRES; the first factorised, and its factor preconditioned every step.
+    # The Laplace solve shared by the warm start took one more factorisation
     steps = len(u.meta["log"]) - len(opts.delta_schedule)
     assert steps > 1 and len(calls) == 2
     (n, logged, factorised, krylov), = u.meta["levels"]
     assert (n, logged, factorised) == (65, len(u.meta["log"]), 1)
-    assert steps - 1 <= krylov <= (steps - 1) * solver.KRYLOV_MAX
+    assert steps <= krylov <= (steps - 1 + solver.KRYLOV_CYCLES) * solver.KRYLOV_MAX
 
 
 def test_every_missed_reuse_factorises_that_step(monkeypatch):
@@ -535,21 +544,33 @@ def test_every_missed_reuse_factorises_that_step(monkeypatch):
     solve_harmonic(ring)
     opts = SolveOptions()
     of = power(3.0)
+    gmres = solver._gmres
     with monkeypatch.context() as m:
-        # the reference factorises every Newton step's Jacobian
-        m.setattr(solver._Directions, "solve", lambda self, A, G: solver._lu(A).solve(-G))
+        # the reference factorises every Newton step's Jacobian, as a build does
+        m.setattr(solver._Directions, "solve", lambda self, A, G: gmres(
+            A, solver._preconditioner(ring, A), -G, solver.KRYLOV_TOL,
+            solver.KRYLOV_CYCLES, last=True)[0])
         ref = solve_h_potential(ring, of, opts)
-    attempts = []
-    monkeypatch.setattr(solver, "_gmres", lambda A, precondition, b:
-                        attempts.append(len(b)) or (None, solver.KRYLOV_MAX))
+    tries, built = [], []
+
+    def miss_every_try(A, precondition, b, tol=solver.KRYLOV_TOL, cycles=1, last=False):
+        if not last:
+            tries.append(len(b))
+            return None, solver.KRYLOV_MAX
+        x, iterations = gmres(A, precondition, b, tol, cycles, last)
+        built.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(solver, "_gmres", miss_every_try)
     calls = _count_factorisations(monkeypatch)
     u = solve_h_potential(ring, of, opts)
-    # every step after the first makes one capped attempt, misses, and
-    # factorises its own Jacobian, so the iterates are those of ref
+    # every step after the first makes one capped try, misses, and factorises
+    # its own Jacobian, so the iterates are those of ref; GMRES with the exact
+    # factor takes one iteration
     steps = len(u.meta["log"]) - len(opts.delta_schedule)
-    assert len(attempts) == steps - 1 and len(calls) == steps
+    assert len(tries) == steps - 1 and len(calls) == steps and built == [1] * steps
     assert u.meta["levels"] == [(65, len(u.meta["log"]), steps,
-                                 (steps - 1) * solver.KRYLOV_MAX)]
+                                 (steps - 1) * solver.KRYLOV_MAX + steps)]
     assert u.meta["log"] == ref.meta["log"] and np.array_equal(u.values, ref.values)
 
 
@@ -559,17 +580,18 @@ def test_later_steps_reuse_the_factor_of_a_missed_step(monkeypatch):
     gmres = solver._gmres
     factors = []
 
-    def miss_the_second(A, precondition, b):
-        factors.append(precondition.__self__)
-        if len(factors) == 2:
-            return None, solver.KRYLOV_MAX
-        return gmres(A, precondition, b)
+    def miss_the_second(A, precondition, b, tol=solver.KRYLOV_TOL, cycles=1, last=False):
+        if not last:
+            factors.append(precondition.__self__)
+            if len(factors) == 2:
+                return None, solver.KRYLOV_MAX
+        return gmres(A, precondition, b, tol, cycles, last)
 
     monkeypatch.setattr(solver, "_gmres", miss_the_second)
     calls = _count_factorisations(monkeypatch)
     u = solve_h_potential(ring, power(3.0))
     assert u.meta["converged"] and len(factors) > 2
-    # the miss factorised its step, and every later attempt used that factor;
+    # the miss factorised its step, and every later try used that factor;
     # the Laplacian was factorised before the count began
     (n, logged, factorised, krylov), = u.meta["levels"]
     assert factorised == 2 and len(calls) == 2
